@@ -129,7 +129,7 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use persist::{CommittedEntry, EngineStore, PersistError, StoreOptions, SyncPolicy, WarmStart};
-pub use pipelined::{PipelineConfig, PipelinedStream};
+pub use pipelined::{PipelineConfig, PipelinedStream, ReadySignal};
 pub use registry::{
     codec_from_u8, AnyDecompressor, AutoBackend, AutoBatch, AutoConfig, AutoDecompressor,
     CodecCursor, CodecEntry, CodecId, CodecRegistry, HybridDecompressor, HybridGdDeflateBackend,

@@ -27,11 +27,37 @@
 //!   the per-batch delta `Vec` that live sync drains — the same allocation
 //!   [`take_delta`](crate::CompressionBackend::take_delta) makes on the
 //!   synchronous path;
-//! * the caller drains finished batches opportunistically on every push and
-//!   exhaustively at [`finish`](PipelinedStream::finish), invoking the
-//!   payload and control sinks **on the calling thread**, in batch order —
-//!   sinks therefore need no `Send` bound and observe exactly the sequence
-//!   the synchronous stream would have produced.
+//! * the caller emits finished batches through
+//!   [`emit_ready`](PipelinedStream::emit_ready), invoking the payload and
+//!   control sinks **on the calling thread**, in batch order — sinks
+//!   therefore need no `Send` bound and observe exactly the sequence the
+//!   synchronous stream would have produced.
+//!
+//! # Emission rule and the ready signal
+//!
+//! A finished batch is emitted at the first of: the end of the next
+//! [`push_record`](PipelinedStream::push_record) (every push ends with an
+//! `emit_ready`), an explicit [`emit_ready`](PipelinedStream::emit_ready),
+//! or [`finish`](PipelinedStream::finish). `emit_ready` never blocks: it
+//! commits and emits every batch the worker has already returned, in FIFO
+//! order, and nothing else.
+//!
+//! A caller that can go idle while batches are in flight — a socket
+//! handler waiting for client input, say — must not wait for input alone:
+//! the client may itself be waiting for those batches. It attaches a
+//! [`ReadySignal`] with
+//! [`set_ready_signal`](PipelinedStream::set_ready_signal) and waits on
+//! *input or ready*. The contract:
+//!
+//! * the worker fires the signal on its own thread **after** it has sent
+//!   each result (a finished batch or a parked error), so an `emit_ready`
+//!   that starts after the signal fired always finds that result;
+//! * the signal must never block the worker. It may drop a wake-up (a
+//!   `try_send` into a full bounded channel), provided the caller calls
+//!   `emit_ready` after *every* wake-up it handles, whatever woke it — then
+//!   a dropped signal is harmless, because the wake-up that crowded it out
+//!   is handled after the result was sent;
+//! * the inline backing compresses at dispatch and never fires it.
 //!
 //! # Determinism
 //!
@@ -99,6 +125,7 @@
 //! [`EngineError::WorkerLost`].
 
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::backend::CompressionBackend;
@@ -182,19 +209,38 @@ struct BatchShuttle {
     codec: Option<CodecId>,
 }
 
+/// Wake-up the engine worker fires after it sends each result; see the
+/// module docs for the contract. It runs on the worker thread and must
+/// never block.
+pub type ReadySignal = Arc<dyn Fn() + Send + Sync>;
+
+/// The stream's ready signal, shared with its worker so it can be attached
+/// after the worker has started.
+type ReadySlot = Arc<Mutex<Option<ReadySignal>>>;
+
 /// The worker half of the threaded pipeline: owns the engine, compresses
 /// shuttles in FIFO order, returns the engine when the job channel closes.
 fn run_worker<B: CompressionBackend>(
     mut engine: CompressionEngine<B>,
     jobs: Receiver<BatchShuttle>,
     results: Sender<GdResult<BatchShuttle>>,
+    ready: ReadySlot,
 ) -> CompressionEngine<B> {
     while let Ok(mut shuttle) = jobs.recv() {
         let outcome = compress_shuttle(&mut engine, &mut shuttle);
         let failed = outcome.is_err();
         // A send error means the caller is gone (dropped mid-stream); there
         // is nobody left to observe results, so just stop compressing.
-        if results.send(outcome.map(|()| shuttle)).is_err() || failed {
+        if results.send(outcome.map(|()| shuttle)).is_err() {
+            break;
+        }
+        // Signal strictly after the send: whoever the signal wakes finds
+        // the result already queued.
+        let signal = ready.lock().unwrap_or_else(PoisonError::into_inner).clone();
+        if let Some(signal) = signal {
+            signal();
+        }
+        if failed {
             break;
         }
     }
@@ -283,6 +329,8 @@ where
     ///
     /// [`EngineStream::set_codec_cursor`]: crate::EngineStream::set_codec_cursor
     codec_cursor: Option<CodecCursor>,
+    /// The ready signal the worker fires after each result (shared with it).
+    ready: ReadySlot,
 }
 
 impl<F, B> PipelinedStream<F, fn(&DictionaryUpdate), B>
@@ -342,12 +390,14 @@ where
             SpawnPolicy::Threads => true,
             SpawnPolicy::Auto => host_cores() > 1,
         };
+        let ready = ReadySlot::default();
         let backing = if threaded {
             let (jobs, job_rx) = sync_channel::<BatchShuttle>(pipeline.depth);
             let (result_tx, results) = std::sync::mpsc::channel();
+            let worker_ready = Arc::clone(&ready);
             let worker = std::thread::Builder::new()
                 .name("zipline-pipelined".into())
-                .spawn(move || run_worker(engine, job_rx, result_tx))
+                .spawn(move || run_worker(engine, job_rx, result_tx, worker_ready))
                 .expect("spawn pipelined engine worker");
             Backing::Threaded(Threaded {
                 jobs,
@@ -368,6 +418,7 @@ where
             store,
             inline_shuttle: BatchShuttle::default(),
             codec_cursor: None,
+            ready,
         })
     }
 
@@ -380,6 +431,13 @@ where
         self.codec_cursor = Some(cursor);
     }
 
+    /// Attaches the [`ReadySignal`] the worker fires after each result it
+    /// sends, replacing any earlier one; see the module docs for the
+    /// contract. The inline backing never fires it.
+    pub fn set_ready_signal(&mut self, signal: ReadySignal) {
+        *self.ready.lock().unwrap_or_else(PoisonError::into_inner) = Some(signal);
+    }
+
     /// True when the stream runs an engine worker thread (false on the
     /// inline fallback — single-core hosts under [`SpawnPolicy::Auto`], or
     /// [`SpawnPolicy::Inline`]).
@@ -388,8 +446,10 @@ where
     }
 
     /// Appends one record (any number of bytes) to the stream, dispatching
-    /// a batch to the engine whenever enough units have accumulated. Blocks
-    /// only when `depth` batches are already in flight (backpressure).
+    /// a batch to the engine whenever enough units have accumulated, then
+    /// emits every batch already finished ([`emit_ready`](Self::emit_ready)).
+    /// Blocks only when `depth` batches are already in flight
+    /// (backpressure).
     pub fn push_record(&mut self, bytes: &[u8]) -> Result<()> {
         self.summary.bytes_in += bytes.len() as u64;
         // Fill up to one batch at a time so a record larger than the batch
@@ -405,6 +465,40 @@ where
                 self.dispatch_batch()?;
             }
         }
+        self.emit_ready()
+    }
+
+    /// Commits and emits, in FIFO order, every batch the worker has already
+    /// finished; never blocks. A no-op on the inline backing, which emits
+    /// each batch at dispatch. A compression error the worker parked
+    /// surfaces here.
+    pub fn emit_ready(&mut self) -> Result<()> {
+        let Self {
+            backing,
+            sink,
+            control_sink,
+            summary,
+            store,
+            codec_cursor,
+            ..
+        } = self;
+        let Backing::Threaded(threaded) = backing else {
+            return Ok(());
+        };
+        // Both TryRecvError variants just mean "nothing to emit"; a worker
+        // that stopped on an error parked it here first.
+        while let Ok(result) = threaded.results.try_recv() {
+            let mut shuttle = result?;
+            emit_shuttle(
+                &mut shuttle,
+                store.as_mut(),
+                codec_cursor.as_ref(),
+                sink,
+                control_sink,
+                summary,
+            )?;
+            threaded.spare.push(shuttle);
+        }
         Ok(())
     }
 
@@ -417,10 +511,12 @@ where
     }
 
     /// Hands the current fill buffer to the engine. Inline: compresses and
-    /// emits on the spot. Threaded: drains any finished batches first
-    /// (non-blocking), then sends the buffer to the worker, blocking only
-    /// when the pipeline is `depth` batches deep.
+    /// emits on the spot. Threaded: emits any finished batches first
+    /// (non-blocking; keeps result memory bounded and refills the shuttle
+    /// pool), then sends the buffer to the worker, blocking only when the
+    /// pipeline is `depth` batches deep.
     fn dispatch_batch(&mut self) -> Result<()> {
+        self.emit_ready()?;
         let Self {
             backing,
             sink,
@@ -448,21 +544,6 @@ where
                 Ok(())
             }
             Backing::Threaded(threaded) => {
-                // Opportunistic drain keeps result memory bounded and
-                // refills the shuttle pool without ever blocking ingest
-                // (both TryRecvError variants just mean "nothing to drain").
-                while let Ok(result) = threaded.results.try_recv() {
-                    let mut shuttle = result?;
-                    emit_shuttle(
-                        &mut shuttle,
-                        store.as_mut(),
-                        codec_cursor.as_ref(),
-                        sink,
-                        control_sink,
-                        summary,
-                    )?;
-                    threaded.spare.push(shuttle);
-                }
                 let mut shuttle = threaded.spare.pop().unwrap_or_default();
                 std::mem::swap(&mut shuttle.input, buffer);
                 buffer.clear();
@@ -710,6 +791,52 @@ mod tests {
             .unwrap();
         let stream = PipelinedStream::new(engine, 16, |_, _| {}).unwrap();
         assert!(stream.is_threaded());
+    }
+
+    #[test]
+    fn ready_signal_lets_emit_ready_deliver_a_batch_without_more_input() {
+        let engine = EngineBuilder::new()
+            .shards(4)
+            .workers(2)
+            .spawn(SpawnPolicy::Threads)
+            .pipelined(2)
+            .build()
+            .unwrap();
+        let payloads = std::cell::Cell::new(0usize);
+        let mut stream =
+            PipelinedStream::new(engine, 8, |_, _| payloads.set(payloads.get() + 1)).unwrap();
+        let (wake, woken) = std::sync::mpsc::channel();
+        stream.set_ready_signal(Arc::new(move || {
+            let _ = wake.send(());
+        }));
+        // Exactly one batch: it dispatches, and nothing follows it.
+        stream.push_record(&[5u8; 32 * 8]).unwrap();
+        while payloads.get() == 0 {
+            woken
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the worker signals its finished batch");
+            stream.emit_ready().unwrap();
+        }
+        assert_eq!(payloads.get(), 8, "one payload per chunk of the batch");
+        let (_, summary) = stream.finish().unwrap();
+        assert_eq!(summary.payloads_emitted, 8);
+    }
+
+    #[test]
+    fn inline_streams_emit_at_dispatch_and_never_signal() {
+        let engine = EngineBuilder::new()
+            .spawn(SpawnPolicy::Inline)
+            .pipelined(1)
+            .build()
+            .unwrap();
+        let payloads = std::cell::Cell::new(0usize);
+        let mut stream =
+            PipelinedStream::new(engine, 8, |_, _| payloads.set(payloads.get() + 1)).unwrap();
+        stream.set_ready_signal(Arc::new(|| panic!("inline streams never signal")));
+        stream.push_record(&[5u8; 32 * 8]).unwrap();
+        assert_eq!(payloads.get(), 8, "the batch emitted at dispatch");
+        stream.emit_ready().unwrap();
+        stream.finish().unwrap();
     }
 
     #[test]

@@ -24,6 +24,13 @@
 //!   updates interleave strictly before the payloads that need them
 //!   (exactly the single-stream live-sync invariant, preserved per flow
 //!   because each flow's sinks run on the calling thread in wire order).
+//! - Finished batches reach the event queue at the owning flow's next
+//!   push, at [`FlowRouter::emit_ready`], or when the flow ends. A caller
+//!   that waits for input attaches one router-wide [`ReadySignal`]
+//!   ([`FlowRouter::set_ready_signal`]): every flow's worker fires it
+//!   after returning a batch, under the per-stream contract of
+//!   [`PipelinedStream`], and `emit_ready` then visits only the flows that
+//!   fired.
 //! - [`FlowDecoderPool`] is the receive side: one decoder per flow keyed
 //!   the same way, so a single pool tracks many interleaved streams and
 //!   one flow's state transitions never perturb another's.
@@ -48,17 +55,18 @@
 //! compaction, plus the exact input byte offset to resume from).
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::backend::CompressionBackend;
 use crate::builder::EngineBuilder;
 use crate::engine::{CompressionEngine, EngineConfig, GdBackend};
 use crate::error::EngineError;
 use crate::persist::{CommittedEntry, SyncPolicy};
-use crate::pipelined::PipelinedStream;
+use crate::pipelined::{PipelinedStream, ReadySignal};
 use crate::registry::{CodecCursor, CodecId, RegistryDecompressor, CODEC_GD};
 use crate::shard::{DictionaryUpdate, UpdateOp};
 use crate::stream::StreamSummary;
@@ -492,6 +500,28 @@ impl<B: CompressionBackend + Send + 'static> TenantState<B> {
     }
 }
 
+/// Which flows have finished batches waiting, shared with every flow's
+/// worker, plus the router-wide signal the workers fire. A set, so it
+/// never holds more keys than there are active flows.
+#[derive(Default)]
+struct ReadyFlows {
+    keys: BTreeSet<FlowKey>,
+    signal: Option<ReadySignal>,
+}
+
+/// Records that `key`'s worker returned a batch, then fires the
+/// router-wide signal (outside the lock: the signal is caller code).
+fn mark_ready(ready: &Mutex<ReadyFlows>, key: FlowKey) {
+    let signal = {
+        let mut ready = ready.lock().unwrap_or_else(PoisonError::into_inner);
+        ready.keys.insert(key);
+        ready.signal.clone()
+    };
+    if let Some(signal) = signal {
+        signal();
+    }
+}
+
 /// The multi-tenant routing layer: flow-keyed placement onto per-tenant
 /// engine partitions, tagged emission, budgeted fairness. See the module
 /// docs for the invariants.
@@ -501,6 +531,7 @@ pub struct FlowRouter<B: CompressionBackend + Send + 'static = GdBackend> {
     /// Tagged emissions of every flow, in emission order; per flow the
     /// order is exactly the flow's wire order.
     events: Rc<RefCell<VecDeque<FlowEvent>>>,
+    ready: Arc<Mutex<ReadyFlows>>,
 }
 
 /// Boxed payload sink handed to each flow's pipelined stream.
@@ -526,7 +557,35 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
             config,
             tenants: BTreeMap::new(),
             events: Rc::new(RefCell::new(VecDeque::new())),
+            ready: Arc::default(),
         })
+    }
+
+    /// Attaches the router-wide [`ReadySignal`], replacing any earlier one:
+    /// every flow's worker, current and future, fires it after returning a
+    /// batch. The per-stream contract of [`PipelinedStream`] applies: call
+    /// [`emit_ready`](Self::emit_ready) after every wake-up, whatever woke
+    /// the caller.
+    pub fn set_ready_signal(&mut self, signal: ReadySignal) {
+        self.ready_flows().signal = Some(signal);
+    }
+
+    fn ready_flows(&self) -> std::sync::MutexGuard<'_, ReadyFlows> {
+        self.ready.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues, as events, every batch that has finished compressing on any
+    /// flow since the last call; never blocks. Drain the events with
+    /// [`drain_events`](Self::drain_events).
+    pub fn emit_ready(&mut self) -> Result<(), FlowError> {
+        let keys = std::mem::take(&mut self.ready_flows().keys);
+        for key in keys {
+            // A flow that ended since it fired has nothing left to emit.
+            if let Ok(flow) = self.flow_mut(key) {
+                flow.stream.emit_ready()?;
+            }
+        }
+        Ok(())
     }
 
     /// The router's configuration.
@@ -602,6 +661,8 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
         let mut stream =
             PipelinedStream::with_control_sink(engine, self.config.batch_units, sink, control)?;
         stream.set_codec_cursor(cursor);
+        let ready = Arc::clone(&self.ready);
+        stream.set_ready_signal(Arc::new(move || mark_ready(&ready, key)));
 
         let slot = tenant.place(key).ok_or(FlowError::TenantSaturated {
             tenant: key.tenant,
@@ -627,8 +688,9 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
             .ok_or(FlowError::UnknownFlow(key))
     }
 
-    /// Appends one record to `key`'s stream. Emissions (for any flow that
-    /// crossed a batch boundary) land in the event queue; drain with
+    /// Appends one record to `key`'s stream. The flow's finished batches
+    /// land in the event queue (other flows' wait for
+    /// [`emit_ready`](Self::emit_ready)); drain with
     /// [`drain_events`](Self::drain_events).
     pub fn push(&mut self, key: FlowKey, bytes: &[u8]) -> Result<(), FlowError> {
         let flow = self.flow_mut(key)?;
@@ -661,6 +723,8 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
         let (engine, summary) = flow.stream.finish()?;
         let stats = engine.stats();
         tenant.stats.absorb(&summary, &stats);
+        // The joined worker fires no more; forget a signal it left behind.
+        self.ready_flows().keys.remove(&key);
         Ok(FlowSummary {
             key,
             slot,
@@ -682,6 +746,7 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
             .remove(&key.flow)
             .ok_or(FlowError::UnknownFlow(key))?;
         drop(tenant.slots[slot].take());
+        self.ready_flows().keys.remove(&key);
         Ok(())
     }
 
@@ -694,6 +759,7 @@ impl<B: CompressionBackend + Send + 'static> FlowRouter<B> {
                 drop(slot.take());
             }
         }
+        self.ready_flows().keys.clear();
     }
 
     /// Finishes every active flow in sorted `(tenant, flow)` order,
@@ -1019,6 +1085,44 @@ mod tests {
         for &key in &keys {
             assert_eq!(decoded[&key], fed[&key], "{key} mismatch");
         }
+    }
+
+    #[test]
+    fn ready_signal_names_the_finished_flow_to_emit_ready() {
+        let mut config = FlowRouterConfig::new(EngineConfig {
+            spawn: SpawnPolicy::Threads,
+            ..small_config()
+        });
+        config.batch_units = 8;
+        let mut router: FlowRouter = FlowRouter::new(config).unwrap();
+        let (wake, woken) = std::sync::mpsc::channel();
+        router.set_ready_signal(Arc::new(move || {
+            let _ = wake.send(());
+        }));
+        let (busy, idle) = (FlowKey::new(1, 1), FlowKey::new(1, 2));
+        router.open_flow(busy, 0).unwrap();
+        router.open_flow(idle, 0).unwrap();
+        // One whole batch on `busy`, then nothing more on it: only the
+        // signal and `emit_ready` can bring its payloads out.
+        for i in 0..8 {
+            router.push(busy, &chunk(1, 1, i)).unwrap();
+        }
+        router.push(idle, &chunk(1, 2, 0)).unwrap();
+        let mut events = router.drain_events();
+        while events.is_empty() {
+            woken
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the worker signals its finished batch");
+            router.emit_ready().unwrap();
+            events = router.drain_events();
+        }
+        assert!(events.iter().all(|event| event.key() == busy));
+        let payloads = events
+            .iter()
+            .filter(|event| matches!(event, FlowEvent::Payload { .. }))
+            .count();
+        assert_eq!(payloads, 8, "one payload per chunk of the batch");
+        router.finish_all().unwrap();
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub use zipline_engine::tenant::{
     flow_dir, flow_placement, plan_resume, reseed_updates, tenant_dir, FlowDecoderPool, FlowError,
     FlowEvent, FlowKey, FlowResume, FlowRouter, FlowRouterConfig, FlowSummary, TenantStats,
 };
+pub use zipline_engine::ReadySignal;
 
 #[cfg(test)]
 mod tests {

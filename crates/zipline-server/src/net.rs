@@ -171,36 +171,16 @@ impl Listener {
         Ok(Listener::Unix(listener, path))
     }
 
-    pub(crate) fn set_nonblocking(&self, on: bool) -> ServerResult<()> {
+    /// Blocks until a peer connects.
+    pub(crate) fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(l) => l.set_nonblocking(on),
+            Listener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(Conn::Tcp(stream))
+            }
             #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(on),
-        }
-        .map_err(|e| ServerError::io("toggling listener blocking mode", e))
-    }
-
-    /// One nonblocking accept attempt; `Ok(None)` means no pending peer.
-    pub(crate) fn accept(&self) -> io::Result<Option<Conn>> {
-        match self {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    stream.set_nodelay(true)?;
-                    Ok(Some(Conn::Tcp(stream)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
-            #[cfg(unix)]
-            Listener::Unix(l, _) => match l.accept() {
-                Ok((stream, _)) => {
-                    stream.set_nonblocking(false)?;
-                    Ok(Some(Conn::Unix(stream)))
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-                Err(e) => Err(e),
-            },
+            Listener::Unix(l, _) => Ok(Conn::Unix(l.accept()?.0)),
         }
     }
 

@@ -14,7 +14,8 @@
 //!    entries past the client's cursor, and streams synthesized `RESEED`
 //!    installs when the journal was compacted away.
 //! 3. `DATA` records feed a [`PipelinedStream`]; every emitted payload and
-//!    control update is framed and handed to the **ordered writer** (below).
+//!    control update is framed and handed to the **ordered writer** (below)
+//!    as soon as its batch is compressed.
 //! 4. `END` (or a graceful server shutdown) drains in-flight batches,
 //!    commits, compacts the journal, and answers with `DONE`.
 //!
@@ -33,21 +34,63 @@
 //! streams (which occupy tenant 0), so a flow can be served by at most one
 //! connection at a time.
 //!
+//! # Threads of a connection
+//!
+//! Each connection runs four kinds of thread:
+//!
+//! * the **reader** blocks in `read` on the socket and forwards the bytes
+//!   of each `read` to the handler as one event (one channel operation per
+//!   `read`, never per record);
+//! * the **handler** owns the session: it decodes records from the
+//!   forwarded bytes with [`WireCodec::decode`], pushes them into the
+//!   stream (or the [`FlowRouter`]), runs the sinks and hands their frames
+//!   to the writer;
+//! * a **worker** per [`PipelinedStream`] compresses batches (one per flow
+//!   on a multiplexed connection);
+//! * the **writer** drains framed output to the socket.
+//!
+//! The handler waits on one bounded channel that carries three kinds of
+//! event: socket bytes, the end of input (EOF or a read error), and *batch
+//! ready*, which each worker fires after returning a finished batch. So a
+//! batch reaches the client as soon as it is compressed, even when the
+//! client sends nothing more until it sees that batch — a closed-loop
+//! client with a window of one batch never waits on the server.
+//!
+//! **Wake argument.** The reader sends with a blocking `send`
+//! (backpressure). A worker never blocks on signalling: it `try_send`s
+//! *ready*, and only after it has sent the batch itself. When the channel
+//! is full the wake-up is dropped, and that is safe: the handler takes
+//! every queued event later than the failed `try_send`, and after each
+//! event it takes, whatever its kind, it emits every finished batch: a
+//! classic stream's `push_record` ends with `emit_ready` and a wake-up
+//! calls it directly; a multiplexed connection calls the router's
+//! `emit_ready` after every event. So the first event the full channel
+//! held finds the batch.
+//! Every other wait of the handler ends too: the writer drains as long as
+//! the client reads, and the worker's job queue drains without waiting on
+//! the handler.
+//!
 //! # Ordered writer and backpressure
 //!
 //! Each connection owns one writer thread fed by a bounded
-//! [`sync_channel`](std::sync::mpsc::sync_channel) of pre-framed records
-//! ([`ServerConfig::writer_depth`] frames deep). Frames enter the channel in
-//! emission order from a single producer (the engine sinks run on the
-//! handler thread), so responses are **totally ordered** — a control update
-//! always reaches the socket before the payload that depends on it. When
-//! the client stops reading, the channel fills and sends block, which in
-//! turn blocks the reader loop: backpressure propagates to the client's
+//! [`sync_channel`](std::sync::mpsc::sync_channel) of **bursts**: the sinks
+//! append frames to a per-connection buffer, and the handler sends that
+//! buffer to the writer once per step (after each push or wake-up), so
+//! [`ServerConfig::writer_depth`] counts bursts, not frames. The sinks run
+//! on the handler thread, so frames enter the channel in emission order
+//! from a single producer and responses are **totally ordered** — a
+//! control update always reaches the socket before the payload that
+//! depends on it. When the client stops reading, the channel fills and
+//! sends block, which in turn stops the handler and, once the event
+//! channel is full, the reader: backpressure propagates to the client's
 //! sender instead of buffering unboundedly. A dead client (write failure)
-//! trips the writer's failure flag; the handler notices at the next push
+//! trips the writer's failure flag; the handler notices at its next step
 //! and abandons the stream instead of compressing into the void.
 //!
 //! # Shutdown semantics
+//!
+//! The accept loop blocks in `accept`; closing the server wakes it by
+//! connecting to the server's own endpoint.
 //!
 //! [`ServerHandle::shutdown`] is **graceful**: the listener stops accepting,
 //! each connection's read half closes, and every in-flight stream finishes
@@ -58,15 +101,13 @@
 //! commit boundary, which is precisely the state a killed process leaves
 //! behind, so tests use it to exercise warm restarts.
 
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::io::Write;
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, TryRecvError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -76,14 +117,16 @@ use zipline_engine::{
     DeflateBackend, DictionaryUpdate, EngineError, GdBackend, HybridGdDeflateBackend,
     PipelinedStream, StreamSummary, SyncPolicy,
 };
-use zipline_flow::{flow_dir, FlowError, FlowEvent, FlowKey, FlowRouter, FlowRouterConfig};
+use zipline_flow::{flow_dir, FlowError, FlowKey, FlowRouter, FlowRouterConfig};
 use zipline_gd::packet::PacketType;
 
 use crate::error::{ServerError, ServerResult};
 use crate::net::{Conn, Endpoint, Listener};
-use crate::wire::{
-    ClientHello, DoneSummary, Record, RecordReader, ServerHello, WireCodec, WireError, WIRE_VERSION,
-};
+use crate::wire::{ClientHello, DoneSummary, Record, ServerHello, WireCodec, WIRE_VERSION};
+
+mod conn;
+
+use conn::{run_events, Inbox, Input, Outbox};
 
 /// Boxed payload sink handed to the pipelined stream.
 type PayloadSink = Box<dyn FnMut(PacketType, &[u8])>;
@@ -150,14 +193,16 @@ pub struct ServerConfig {
     /// [`HostPathConfig::pipeline_depth`] is promoted to `Some(2)` — the
     /// server path is pipelined by construction.
     pub host: HostPathConfig,
-    /// Bound of the per-connection ordered writer, in framed records.
+    /// Bound of the per-connection ordered writer, in emission bursts: the
+    /// frames one handler step produced (a push, a batch-ready wake-up, a
+    /// finish), sent to the writer together.
     pub writer_depth: usize,
     /// Backend every stream engine is built over.
     pub backend: BackendChoice,
 }
 
 impl ServerConfig {
-    /// Paper-default host path, pipelined at depth 2, 256-record writer,
+    /// Paper-default host path, pipelined at depth 2, 256-burst writer,
     /// GD backend.
     pub fn paper_default() -> Self {
         // Defaults are valid by construction — no need for the fallible
@@ -200,7 +245,7 @@ impl Default for ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Paper-default host path, 256-record writer, GD backend.
+    /// Paper-default host path, 256-burst writer, GD backend.
     pub fn new() -> Self {
         Self {
             host: HostPathConfig::paper_default(),
@@ -252,7 +297,8 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Bound of the per-connection ordered writer, in framed records.
+    /// Bound of the per-connection ordered writer, in emission bursts (see
+    /// [`ServerConfig::writer_depth`]).
     pub fn writer_depth(mut self, depth: usize) -> Self {
         self.writer_depth = depth;
         self
@@ -441,7 +487,6 @@ impl ServerHandle {
         B: CompressionBackend + Send + 'static,
     {
         let endpoint = listener.endpoint()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             config,
             stop: AtomicBool::new(false),
@@ -492,6 +537,10 @@ impl ServerHandle {
             self.shared.abort.store(true, Ordering::SeqCst);
         }
         if let Some(handle) = self.accept.take() {
+            // End the blocking accept: the listener lives until the accept
+            // thread exits, so this connection reaches it (and, with `stop`
+            // raised, is dropped unserved).
+            drop(Conn::connect(&wake_endpoint(&self.endpoint)));
             drop(handle.join());
         }
         // Accept loop has exited, so the registry is complete. Unblock every
@@ -527,13 +576,35 @@ impl Drop for ServerHandle {
     }
 }
 
+/// The address that reaches a listener bound to `endpoint`: a wildcard
+/// bind (`0.0.0.0`, `::`) is reached on loopback.
+fn wake_endpoint(endpoint: &Endpoint) -> Endpoint {
+    match endpoint {
+        Endpoint::Tcp(addr) if addr.ip().is_unspecified() => {
+            let loopback: std::net::IpAddr = if addr.is_ipv4() {
+                std::net::Ipv4Addr::LOCALHOST.into()
+            } else {
+                std::net::Ipv6Addr::LOCALHOST.into()
+            };
+            Endpoint::Tcp(std::net::SocketAddr::new(loopback, addr.port()))
+        }
+        other => other.clone(),
+    }
+}
+
+/// Blocks in `accept` until a peer connects; [`ServerHandle::close`]
+/// raises `stop` and then connects itself to end the wait.
 fn accept_loop<B>(shared: Arc<Shared>, listener: Listener)
 where
     B: CompressionBackend + Send + 'static,
 {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok(Some(conn)) => {
+    loop {
+        let accepted = listener.accept();
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
+            Ok(conn) => {
                 shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 let registered = match conn.try_clone() {
                     Ok(clone) => clone,
@@ -557,8 +628,8 @@ where
                     }
                 }
             }
-            Ok(None) => thread::sleep(Duration::from_millis(2)),
-            Err(_) if shared.stop.load(Ordering::SeqCst) => break,
+            // A failed accept is a per-peer abort or descriptor exhaustion;
+            // the pause keeps exhaustion from spinning a core.
             Err(_) => thread::sleep(Duration::from_millis(2)),
         }
     }
@@ -610,56 +681,53 @@ fn handle_connection<B>(shared: Arc<Shared>, conn: Conn)
 where
     B: CompressionBackend + Send + 'static,
 {
-    let reader_conn = match conn.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
+    let Ok(mut inbox) = Inbox::spawn(&conn) else {
+        return;
     };
-    let mut reader = RecordReader::new(reader_conn);
+    let hello = loop {
+        match inbox.next() {
+            Ok(Some(Input::Record(Record::ClientHello(hello)))) => break hello,
+            Ok(Some(Input::Wake)) => {}
+            // Connected and left without a word; nothing to serve.
+            Ok(None) => return,
+            Ok(Some(Input::Record(other))) => {
+                report_failure(
+                    &shared,
+                    &conn,
+                    &ServerError::Protocol(format!(
+                        "expected CLIENT_HELLO, got {}",
+                        other.kind_name()
+                    )),
+                );
+                return;
+            }
+            Err(e) => {
+                report_failure(&shared, &conn, &ServerError::Wire(e));
+                return;
+            }
+        }
+    };
 
-    let hello = match reader.read_record() {
-        Ok(Some(Record::ClientHello(hello))) => hello,
-        // Connected and left without a word; nothing to serve.
-        Ok(None) => return,
-        Ok(Some(other)) => {
+    let served = if hello.multiplex {
+        serve_flows::<B>(&shared, &conn, &mut inbox, &hello)
+    } else {
+        // Classic streams occupy tenant 0 of the flow-key space, sharing
+        // the active set with multiplexed flows.
+        let mut guard = FlowSetGuard::new(Arc::clone(&shared));
+        if !guard.register(FlowKey::new(0, hello.stream_id)) {
             report_failure(
                 &shared,
                 &conn,
-                &ServerError::Protocol(format!("expected CLIENT_HELLO, got {}", other.kind_name())),
+                &ServerError::Protocol(format!(
+                    "stream {:#x} is already being served on another connection",
+                    hello.stream_id
+                )),
             );
             return;
         }
-        Err(e) => {
-            report_failure(&shared, &conn, &ServerError::Wire(e));
-            return;
-        }
+        serve_stream::<B>(&shared, &conn, &mut inbox, &hello)
     };
-
-    if hello.multiplex {
-        if let Err(e) = serve_flows::<B>(&shared, &conn, &mut reader, &hello) {
-            // A deliberate abort is a staged crash, not a failure to report.
-            if !shared.abort.load(Ordering::SeqCst) {
-                report_failure(&shared, &conn, &e);
-            }
-        }
-        return;
-    }
-
-    // Classic streams occupy tenant 0 of the flow-key space, sharing the
-    // active set with multiplexed flows.
-    let mut guard = FlowSetGuard::new(Arc::clone(&shared));
-    if !guard.register(FlowKey::new(0, hello.stream_id)) {
-        report_failure(
-            &shared,
-            &conn,
-            &ServerError::Protocol(format!(
-                "stream {:#x} is already being served on another connection",
-                hello.stream_id
-            )),
-        );
-        return;
-    }
-
-    if let Err(e) = serve_stream::<B>(&shared, &conn, &mut reader, &hello) {
+    if let Err(e) = served {
         // A deliberate abort is a staged crash, not a failure to report.
         if !shared.abort.load(Ordering::SeqCst) {
             report_failure(&shared, &conn, &e);
@@ -762,7 +830,7 @@ fn resume_plan<B: CompressionBackend>(
 fn serve_stream<B>(
     shared: &Arc<Shared>,
     conn: &Conn,
-    reader: &mut RecordReader<Conn>,
+    inbox: &mut Inbox,
     hello: &ClientHello,
 ) -> ServerResult<()>
 where
@@ -784,64 +852,9 @@ where
     plan.hello.version = version;
     plan.hello.codecs = advertised;
 
-    // Ordered writer: a bounded channel of pre-framed records drained by a
-    // dedicated thread. See the module docs for the backpressure rules.
-    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.writer_depth.max(1));
-    let writer_failed = Arc::new(AtomicBool::new(false));
-    let writer_conn = conn.try_clone()?;
-    let writer = {
-        let failed = Arc::clone(&writer_failed);
-        thread::Builder::new()
-            .name("zipline-writer".into())
-            .spawn(move || run_writer(writer_conn, rx, failed))
-            .map_err(|e| ServerError::io("spawning writer thread", e))?
-    };
-
-    let codec = Rc::new(RefCell::new(WireCodec::new()));
-    let bytes_out = |shared: &Shared, frame: &[u8]| {
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-    };
-
-    {
-        let frame = codec.borrow_mut().encode(&Record::ServerHello(plan.hello));
-        bytes_out(shared, &frame);
-        drop(tx.send(frame));
-    }
-    for entry in &plan.replay {
-        let frame = match entry {
-            CommittedEntry::Frame {
-                packet_type,
-                codec: tag,
-                bytes,
-            } => {
-                shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-                codec.borrow_mut().encode_payload(*tag, *packet_type, bytes)
-            }
-            CommittedEntry::Control(update) => {
-                shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                codec.borrow_mut().encode_control(update)
-            }
-        };
-        shared
-            .stats
-            .replayed_entries
-            .fetch_add(1, Ordering::Relaxed);
-        bytes_out(shared, &frame);
-        if tx.send(frame).is_err() || writer_failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
-        }
-    }
-    for update in &plan.reseed {
-        let frame = codec.borrow_mut().encode(&Record::Reseed(update.clone()));
-        shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-        bytes_out(shared, &frame);
-        if tx.send(frame).is_err() || writer_failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
-        }
-    }
+    let out = Outbox::spawn(shared, conn)?;
+    out.burst().record(&Record::ServerHello(plan.hello));
+    out.resume(None, &plan.replay, &plan.reseed)?;
 
     // Live sync was either forced by the durable GD store at build time or
     // requested by the host configuration; both stream control updates.
@@ -855,136 +868,63 @@ where
     let codec_cursor = CodecCursor::new();
 
     let payload_sink: PayloadSink = {
-        let codec = Rc::clone(&codec);
+        let burst = Rc::clone(&out.burst);
         let cursor = codec_cursor.clone();
-        let tx = tx.clone();
-        let failed = Arc::clone(&writer_failed);
-        let shared = Arc::clone(shared);
         Box::new(move |packet_type, bytes| {
-            if failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let frame = codec
+            burst
                 .borrow_mut()
-                .encode_payload(cursor.get(), packet_type, bytes);
-            shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .bytes_out
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            drop(tx.send(frame));
+                .payload(None, cursor.get(), packet_type, bytes)
         })
     };
-    let control_sink: Option<ControlSink> = if live {
-        let codec = Rc::clone(&codec);
-        let tx = tx.clone();
-        let failed = Arc::clone(&writer_failed);
-        let shared = Arc::clone(shared);
-        Some(Box::new(move |update: &DictionaryUpdate| {
-            if failed.load(Ordering::Relaxed) {
-                return;
-            }
-            let frame = codec.borrow_mut().encode_control(update);
-            shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-            shared
-                .stats
-                .bytes_out
-                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-            drop(tx.send(frame));
-        }))
-    } else {
-        None
-    };
+    let control_sink: Option<ControlSink> = live.then(|| {
+        let burst = Rc::clone(&out.burst);
+        Box::new(move |update: &DictionaryUpdate| burst.borrow_mut().control(None, update))
+            as ControlSink
+    });
 
     let mut stream =
         PipelinedStream::with_control_sink(engine, host.batch_chunks, payload_sink, control_sink)?;
     stream.set_codec_cursor(codec_cursor);
+    stream.set_ready_signal(inbox.ready_signal());
+    out.flush()?;
 
-    // Ok(true): the client ended the stream; Ok(false): the read half
-    // closed under a graceful shutdown — both finish cleanly.
-    let outcome: ServerResult<bool> = loop {
-        match reader.read_record() {
-            Ok(Some(Record::Data(bytes))) => {
-                shared.stats.records_in.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .bytes_in
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                if let Err(e) = stream.push_record(&bytes) {
-                    break Err(e.into());
-                }
-                if writer_failed.load(Ordering::Relaxed) {
-                    break Err(ServerError::Disconnected);
-                }
-            }
-            Ok(Some(Record::End)) => break Ok(true),
-            Ok(Some(other)) => {
-                break Err(ServerError::Protocol(format!(
-                    "unexpected {} record mid-stream",
-                    other.kind_name()
-                )))
-            }
-            Ok(None) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                // EOF at a record boundary: the client hung up without END,
-                // or our graceful shutdown half-closed the socket. Either
-                // way the data is whole; finish and commit it.
-                break Ok(false);
-            }
-            Err(WireError::Truncated) if shared.stop.load(Ordering::SeqCst) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                // Shutdown cut the client mid-record; the torn record was
-                // never pushed, everything before it commits.
-                break Ok(false);
-            }
-            Err(e) => break Err(e.into()),
+    let outcome = run_events(shared, inbox, &out, |record| match record {
+        // A push ends by emitting whatever is ready.
+        Some(Record::Data(bytes)) => {
+            shared.stats.records_in.fetch_add(1, Ordering::Relaxed);
+            shared
+                .stats
+                .bytes_in
+                .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            stream.push_record(&bytes)?;
+            Ok(false)
         }
-    };
-
-    let result = match outcome {
-        Ok(client_ended) => match stream.finish() {
-            Ok((engine, summary)) => {
-                drop(engine);
-                shared
-                    .stats
-                    .streams_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let done = Record::Done(DoneSummary {
-                    bytes_in: summary.bytes_in,
-                    payloads_emitted: summary.payloads_emitted,
-                    wire_bytes: summary.wire_bytes,
-                    compressed_payloads: summary.compressed_payloads,
-                    control_updates: summary.control_updates,
-                    server_initiated: !client_ended,
-                });
-                let frame = codec.borrow_mut().encode(&done);
-                bytes_out(shared, &frame);
-                drop(tx.send(frame));
-                Ok(())
-            }
-            Err(e) => Err(e.into()),
-        },
-        Err(e) => {
-            // Dropping the stream drains the worker without emitting or
-            // committing anything further — crash semantics for the store.
-            drop(stream);
-            Err(e)
+        Some(Record::End) => Ok(true),
+        Some(other) => Err(ServerError::Protocol(format!(
+            "unexpected {} record mid-stream",
+            other.kind_name()
+        ))),
+        None => {
+            stream.emit_ready()?;
+            Ok(false)
         }
-    };
+    });
 
-    // Close the channel (the sinks' clones died with the stream) and let
-    // the writer drain what was queued before it exits.
-    drop(tx);
-    drop(writer.join());
-    result
+    // An error drops the stream, which drains the worker without emitting
+    // or committing anything further — crash semantics for the store.
+    let client_ended = outcome?;
+    let (_, summary) = stream.finish()?;
+    shared
+        .stats
+        .streams_completed
+        .fetch_add(1, Ordering::Relaxed);
+    out.burst()
+        .record(&Record::Done(done_summary(&summary, !client_ended)));
+    Ok(())
 }
 
-/// Renders one finished flow's stream totals as a wire `DONE` body.
-fn flow_done(summary: &StreamSummary, server_initiated: bool) -> DoneSummary {
+/// Renders one finished stream's or flow's totals as a wire `DONE` body.
+fn done_summary(summary: &StreamSummary, server_initiated: bool) -> DoneSummary {
     DoneSummary {
         bytes_in: summary.bytes_in,
         payloads_emitted: summary.payloads_emitted,
@@ -995,41 +935,86 @@ fn flow_done(summary: &StreamSummary, server_initiated: bool) -> DoneSummary {
     }
 }
 
-/// Frames every tagged emission the router queued since the last drain and
-/// hands the frames to the ordered writer, preserving emission order (per
-/// flow: controls strictly before the payloads that need them).
-fn frame_flow_events(
-    shared: &Shared,
-    codec: &mut WireCodec,
-    events: Vec<FlowEvent>,
-    tx: &mpsc::SyncSender<Vec<u8>>,
-    writer_failed: &AtomicBool,
-) -> ServerResult<()> {
-    for event in events {
-        let frame = match &event {
-            FlowEvent::Payload {
-                key,
-                packet_type,
-                codec: tag,
-                bytes,
-            } => {
-                shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-                codec.encode_flow_payload(*key, *tag, *packet_type, bytes)
+/// A multiplexed connection's serving state.
+struct FlowSession<'a, B: CompressionBackend + Send + 'static> {
+    shared: &'a Arc<Shared>,
+    out: &'a Outbox,
+    router: FlowRouter<B>,
+    guard: FlowSetGuard,
+    /// Running totals across finished flows for the aggregate `DONE`.
+    agg: StreamSummary,
+}
+
+impl<B: CompressionBackend + Send + 'static> FlowSession<'_, B> {
+    /// Handles one client record; `Ok(true)` when it was `END`. Ends by
+    /// framing everything the router has ready.
+    fn step(&mut self, record: Option<Record>) -> ServerResult<bool> {
+        match record {
+            Some(Record::FlowOpen { key, entries_held }) => self.open(key, entries_held)?,
+            Some(Record::FlowData { key, bytes }) => {
+                let stats = &self.shared.stats;
+                stats.records_in.fetch_add(1, Ordering::Relaxed);
+                stats
+                    .bytes_in
+                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                self.router.push(key, &bytes).map_err(flow_error)?;
             }
-            FlowEvent::Control { key, update } => {
-                shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                codec.encode_flow_control(*key, update)
+            Some(Record::FlowEnd { key }) => self.end(key, false)?,
+            Some(Record::End) => return Ok(true),
+            Some(other) => {
+                return Err(ServerError::Protocol(format!(
+                    "unexpected {} record on a multiplexed connection",
+                    other.kind_name()
+                )))
             }
-        };
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if tx.send(frame).is_err() || writer_failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
+            None => {}
         }
+        self.router.emit_ready().map_err(flow_error)?;
+        self.out.burst().flow_events(self.router.drain_events());
+        Ok(false)
     }
-    Ok(())
+
+    fn open(&mut self, key: FlowKey, entries_held: u64) -> ServerResult<()> {
+        if !self.guard.register(key) {
+            return Err(ServerError::Protocol(format!(
+                "{key} is already being served on another connection"
+            )));
+        }
+        let resume = self
+            .router
+            .open_flow(key, entries_held)
+            .map_err(flow_error)?;
+        self.out.burst().record(&Record::FlowOpened {
+            key,
+            resume: resume_hello(&resume),
+        });
+        // Replay and reseed stay tagged so interleaved flows never bleed
+        // into each other's decoders.
+        self.out.resume(Some(key), &resume.replay, &resume.reseed)
+    }
+
+    /// Finishes `key`'s flow: its tail events, then `FLOW_DONE`.
+    fn end(&mut self, key: FlowKey, server_initiated: bool) -> ServerResult<()> {
+        let finished = self.router.end_flow(key).map_err(flow_error)?;
+        let mut burst = self.out.burst();
+        burst.flow_events(self.router.drain_events());
+        self.guard.release(key);
+        let summary = &finished.summary;
+        self.agg.bytes_in += summary.bytes_in;
+        self.agg.payloads_emitted += summary.payloads_emitted;
+        self.agg.wire_bytes += summary.wire_bytes;
+        self.agg.compressed_payloads += summary.compressed_payloads;
+        self.agg.control_updates += summary.control_updates;
+        self.shared
+            .stats
+            .streams_completed
+            .fetch_add(1, Ordering::Relaxed);
+        burst.record(&Record::FlowDone {
+            key,
+            summary: done_summary(summary, server_initiated),
+        });
+        Ok(())
+    }
 }
 
 /// Serves a multiplexed connection: one [`FlowRouter`] carrying many
@@ -1040,14 +1025,13 @@ fn frame_flow_events(
 fn serve_flows<B>(
     shared: &Arc<Shared>,
     conn: &Conn,
-    reader: &mut RecordReader<Conn>,
+    inbox: &mut Inbox,
     hello: &ClientHello,
 ) -> ServerResult<()>
 where
     B: CompressionBackend + Send + 'static,
 {
-    let config = &shared.config;
-    let host = &config.host;
+    let host = &shared.config.host;
 
     // Probe the backend shape once for negotiation; the router builds its
     // own per-flow instances.
@@ -1064,298 +1048,37 @@ where
     flow_config.checkpoint_cadence = host.checkpoint_cadence;
     flow_config.sync = host.sync;
     let mut router: FlowRouter<B> = FlowRouter::new(flow_config).map_err(flow_error)?;
+    router.set_ready_signal(inbox.ready_signal());
 
-    let (tx, rx) = mpsc::sync_channel::<Vec<u8>>(config.writer_depth.max(1));
-    let writer_failed = Arc::new(AtomicBool::new(false));
-    let writer_conn = conn.try_clone()?;
-    let writer = {
-        let failed = Arc::clone(&writer_failed);
-        thread::Builder::new()
-            .name("zipline-writer".into())
-            .spawn(move || run_writer(writer_conn, rx, failed))
-            .map_err(|e| ServerError::io("spawning writer thread", e))?
-    };
-
-    let mut codec = WireCodec::new();
-    let mut guard = FlowSetGuard::new(Arc::clone(shared));
-    // Running totals across finished flows for the aggregate `DONE`.
-    let mut agg = DoneSummary {
-        bytes_in: 0,
-        payloads_emitted: 0,
-        wire_bytes: 0,
-        compressed_payloads: 0,
-        control_updates: 0,
-        server_initiated: false,
-    };
-    let absorb = |agg: &mut DoneSummary, summary: &StreamSummary| {
-        agg.bytes_in += summary.bytes_in;
-        agg.payloads_emitted += summary.payloads_emitted;
-        agg.wire_bytes += summary.wire_bytes;
-        agg.compressed_payloads += summary.compressed_payloads;
-        agg.control_updates += summary.control_updates;
-    };
-    let send = |shared: &Shared,
-                tx: &mpsc::SyncSender<Vec<u8>>,
-                failed: &AtomicBool,
-                frame: Vec<u8>|
-     -> ServerResult<()> {
-        shared
-            .stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-        if tx.send(frame).is_err() || failed.load(Ordering::Relaxed) {
-            return Err(ServerError::Disconnected);
-        }
-        Ok(())
-    };
-
+    let out = Outbox::spawn(shared, conn)?;
     // Connection-level acknowledgement: no stream opens with the hello on a
     // multiplexed connection, so the resume fields are all zero.
-    {
-        let frame = codec.encode(&Record::ServerHello(ServerHello {
-            version,
-            resume_bytes_in: 0,
-            replay_entries: 0,
-            reseed_entries: 0,
-            warm: false,
-            codecs: advertised,
-        }));
-        send(shared, &tx, &writer_failed, frame)?;
-    }
+    out.burst().record(&Record::ServerHello(ServerHello {
+        version,
+        resume_bytes_in: 0,
+        replay_entries: 0,
+        reseed_entries: 0,
+        warm: false,
+        codecs: advertised,
+    }));
+    out.flush()?;
 
-    // Ok(true): the client ended the connection; Ok(false): the read half
-    // closed under a graceful shutdown — both finish the remaining flows.
-    let outcome: ServerResult<bool> = loop {
-        match reader.read_record() {
-            Ok(Some(Record::FlowOpen { key, entries_held })) => {
-                if !guard.register(key) {
-                    break Err(ServerError::Protocol(format!(
-                        "{key} is already being served on another connection"
-                    )));
-                }
-                let resume = match router.open_flow(key, entries_held) {
-                    Ok(resume) => resume,
-                    Err(e) => break Err(flow_error(e)),
-                };
-                let opened = codec.encode(&Record::FlowOpened {
-                    key,
-                    resume: resume_hello(&resume),
-                });
-                if let Err(e) = send(shared, &tx, &writer_failed, opened) {
-                    break Err(e);
-                }
-                // Replay and reseed stay tagged so interleaved flows never
-                // bleed into each other's decoders.
-                let mut failed = None;
-                for entry in &resume.replay {
-                    let frame = match entry {
-                        CommittedEntry::Frame {
-                            packet_type,
-                            codec: tag,
-                            bytes,
-                        } => {
-                            shared.stats.payloads_out.fetch_add(1, Ordering::Relaxed);
-                            codec.encode_flow_payload(key, *tag, *packet_type, bytes)
-                        }
-                        CommittedEntry::Control(update) => {
-                            shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                            codec.encode_flow_control(key, update)
-                        }
-                    };
-                    shared
-                        .stats
-                        .replayed_entries
-                        .fetch_add(1, Ordering::Relaxed);
-                    if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                if failed.is_none() {
-                    for update in &resume.reseed {
-                        let frame = codec.encode(&Record::FlowReseed {
-                            key,
-                            update: update.clone(),
-                        });
-                        shared.stats.controls_out.fetch_add(1, Ordering::Relaxed);
-                        if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if let Some(e) = failed {
-                    break Err(e);
-                }
-            }
-            Ok(Some(Record::FlowData { key, bytes })) => {
-                shared.stats.records_in.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .stats
-                    .bytes_in
-                    .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                if let Err(e) = router.push(key, &bytes) {
-                    break Err(flow_error(e));
-                }
-                if let Err(e) = frame_flow_events(
-                    shared,
-                    &mut codec,
-                    router.drain_events(),
-                    &tx,
-                    &writer_failed,
-                ) {
-                    break Err(e);
-                }
-            }
-            Ok(Some(Record::FlowEnd { key })) => {
-                let finished = match router.end_flow(key) {
-                    Ok(finished) => finished,
-                    Err(e) => break Err(flow_error(e)),
-                };
-                if let Err(e) = frame_flow_events(
-                    shared,
-                    &mut codec,
-                    router.drain_events(),
-                    &tx,
-                    &writer_failed,
-                ) {
-                    break Err(e);
-                }
-                guard.release(key);
-                absorb(&mut agg, &finished.summary);
-                shared
-                    .stats
-                    .streams_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let frame = codec.encode(&Record::FlowDone {
-                    key,
-                    summary: flow_done(&finished.summary, false),
-                });
-                if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                    break Err(e);
-                }
-            }
-            Ok(Some(Record::End)) => break Ok(true),
-            Ok(Some(other)) => {
-                break Err(ServerError::Protocol(format!(
-                    "unexpected {} record on a multiplexed connection",
-                    other.kind_name()
-                )))
-            }
-            Ok(None) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                // EOF at a record boundary: finish what is whole (see
-                // serve_stream).
-                break Ok(false);
-            }
-            Err(WireError::Truncated) if shared.stop.load(Ordering::SeqCst) => {
-                if shared.abort.load(Ordering::SeqCst) {
-                    break Err(ServerError::Disconnected);
-                }
-                break Ok(false);
-            }
-            Err(e) => break Err(e.into()),
-        }
+    let mut session = FlowSession {
+        shared,
+        out: &out,
+        router,
+        guard: FlowSetGuard::new(Arc::clone(shared)),
+        agg: StreamSummary::default(),
     };
-
-    let result = match outcome {
-        Ok(client_ended) => {
-            // Finish the remaining flows in sorted key order (deterministic
-            // drain), then answer with the aggregate totals.
-            let mut finish_result = Ok(());
-            for key in router.active_keys() {
-                let finished = match router.end_flow(key) {
-                    Ok(finished) => finished,
-                    Err(e) => {
-                        finish_result = Err(flow_error(e));
-                        break;
-                    }
-                };
-                if let Err(e) = frame_flow_events(
-                    shared,
-                    &mut codec,
-                    router.drain_events(),
-                    &tx,
-                    &writer_failed,
-                ) {
-                    finish_result = Err(e);
-                    break;
-                }
-                guard.release(key);
-                absorb(&mut agg, &finished.summary);
-                shared
-                    .stats
-                    .streams_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                let frame = codec.encode(&Record::FlowDone {
-                    key,
-                    summary: flow_done(&finished.summary, true),
-                });
-                if let Err(e) = send(shared, &tx, &writer_failed, frame) {
-                    finish_result = Err(e);
-                    break;
-                }
-            }
-            match finish_result {
-                Ok(()) => {
-                    agg.server_initiated = !client_ended;
-                    let frame = codec.encode(&Record::Done(agg));
-                    shared
-                        .stats
-                        .bytes_out
-                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                    drop(tx.send(frame));
-                    Ok(())
-                }
-                Err(e) => {
-                    // Abandon whatever did not finish — crash semantics.
-                    drop(router);
-                    Err(e)
-                }
-            }
-        }
-        Err(e) => {
-            drop(router);
-            Err(e)
-        }
-    };
-
-    drop(tx);
-    drop(writer.join());
-    result
-}
-
-/// The ordered writer: drains pre-framed records to the socket, batching
-/// bursts through a buffered writer and flushing whenever the queue runs
-/// empty (so closed-loop clients are never left waiting on a full buffer).
-fn run_writer(conn: Conn, rx: Receiver<Vec<u8>>, failed: Arc<AtomicBool>) {
-    let mut writer = std::io::BufWriter::with_capacity(64 * 1024, conn);
-    loop {
-        let frame = match rx.try_recv() {
-            Ok(frame) => frame,
-            Err(TryRecvError::Empty) => {
-                if writer.flush().is_err() {
-                    break;
-                }
-                match rx.recv() {
-                    Ok(frame) => frame,
-                    Err(_) => return void_flush(writer),
-                }
-            }
-            Err(TryRecvError::Disconnected) => return void_flush(writer),
-        };
-        if writer.write_all(&frame).is_err() {
-            break;
-        }
+    // An error drops the session, abandoning every unfinished flow.
+    let client_ended = run_events(shared, inbox, &out, |record| session.step(record))?;
+    // Finish the remaining flows in sorted key order (deterministic drain),
+    // then answer with the aggregate totals.
+    for key in session.router.active_keys() {
+        session.end(key, true)?;
+        out.flush_large()?;
     }
-    // Write half is dead: mark it and drain so producers never block on a
-    // full channel into a dead pipe.
-    failed.store(true, Ordering::Relaxed);
-    for _ in rx.iter() {}
-}
-
-fn void_flush(mut writer: std::io::BufWriter<Conn>) {
-    drop(writer.flush());
+    out.burst()
+        .record(&Record::Done(done_summary(&session.agg, !client_ended)));
+    Ok(())
 }

@@ -711,10 +711,7 @@ impl WireCodec {
             }
         }
         debug_assert!(!body.is_empty() && body.len() <= MAX_WIRE_RECORD_BYTES);
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(body);
-        let crc = self.crc.compute_bytes(body) as u32;
-        out.extend_from_slice(&crc.to_le_bytes());
+        self.seal_into(out);
     }
 
     /// Frames `record` into a fresh buffer.
@@ -734,6 +731,20 @@ impl WireCodec {
         packet_type: PacketType,
         bytes: &[u8],
     ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(bytes.len() + 16);
+        self.encode_payload_into(codec, packet_type, bytes, &mut out);
+        out
+    }
+
+    /// [`encode_payload`](Self::encode_payload), appending the frame to
+    /// `out` instead of a fresh buffer.
+    pub fn encode_payload_into(
+        &mut self,
+        codec: Option<CodecId>,
+        packet_type: PacketType,
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+    ) {
         self.scratch.clear();
         let body = &mut self.scratch;
         match codec {
@@ -746,7 +757,7 @@ impl WireCodec {
         body.push(packet_type.number());
         put_u32(body, bytes.len() as u32);
         body.extend_from_slice(bytes);
-        self.seal()
+        self.seal_into(out);
     }
 
     /// Frames a `Data` record straight from a borrowed byte slice.
@@ -759,10 +770,18 @@ impl WireCodec {
 
     /// Frames a `Control` record straight from a borrowed update.
     pub fn encode_control(&mut self, update: &DictionaryUpdate) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        self.encode_control_into(update, &mut out);
+        out
+    }
+
+    /// [`encode_control`](Self::encode_control), appending the frame to
+    /// `out` instead of a fresh buffer.
+    pub fn encode_control_into(&mut self, update: &DictionaryUpdate, out: &mut Vec<u8>) {
         self.scratch.clear();
         self.scratch.push(KIND_CONTROL);
         put_update(&mut self.scratch, update);
-        self.seal()
+        self.seal_into(out);
     }
 
     /// Frames a `FlowPayload` record straight from a borrowed byte slice
@@ -775,6 +794,21 @@ impl WireCodec {
         packet_type: PacketType,
         bytes: &[u8],
     ) -> Vec<u8> {
+        let mut out = Vec::with_capacity(bytes.len() + 32);
+        self.encode_flow_payload_into(key, codec, packet_type, bytes, &mut out);
+        out
+    }
+
+    /// [`encode_flow_payload`](Self::encode_flow_payload), appending the
+    /// frame to `out` instead of a fresh buffer.
+    pub fn encode_flow_payload_into(
+        &mut self,
+        key: FlowKey,
+        codec: Option<CodecId>,
+        packet_type: PacketType,
+        bytes: &[u8],
+        out: &mut Vec<u8>,
+    ) {
         self.scratch.clear();
         let body = &mut self.scratch;
         match codec {
@@ -791,16 +825,29 @@ impl WireCodec {
         body.push(packet_type.number());
         put_u32(body, bytes.len() as u32);
         body.extend_from_slice(bytes);
-        self.seal()
+        self.seal_into(out);
     }
 
     /// Frames a `FlowControl` record straight from a borrowed update.
     pub fn encode_flow_control(&mut self, key: FlowKey, update: &DictionaryUpdate) -> Vec<u8> {
+        let mut out = Vec::with_capacity(80);
+        self.encode_flow_control_into(key, update, &mut out);
+        out
+    }
+
+    /// [`encode_flow_control`](Self::encode_flow_control), appending the
+    /// frame to `out` instead of a fresh buffer.
+    pub fn encode_flow_control_into(
+        &mut self,
+        key: FlowKey,
+        update: &DictionaryUpdate,
+        out: &mut Vec<u8>,
+    ) {
         self.scratch.clear();
         self.scratch.push(KIND_FLOW_CONTROL);
         put_flow_key(&mut self.scratch, key);
         put_update(&mut self.scratch, update);
-        self.seal()
+        self.seal_into(out);
     }
 
     /// Frames a `FlowData` record straight from a borrowed byte slice.
@@ -814,13 +861,18 @@ impl WireCodec {
 
     /// Frames whatever `scratch` currently holds as one record.
     fn seal(&mut self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.scratch.len() + 8);
+        self.seal_into(&mut out);
+        out
+    }
+
+    /// Appends whatever `scratch` currently holds to `out` as one record.
+    fn seal_into(&mut self, out: &mut Vec<u8>) {
         let body = &self.scratch;
-        let mut out = Vec::with_capacity(body.len() + 8);
         out.extend_from_slice(&(body.len() as u32).to_le_bytes());
         out.extend_from_slice(body);
         let crc = self.crc.compute_bytes(body) as u32;
         out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Attempts to decode one record from the front of `buf`.

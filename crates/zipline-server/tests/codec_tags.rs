@@ -12,6 +12,8 @@
 //!   per-batch tags in its journal — after restart, replay + resumed
 //!   stream decode bit-identically to the full input.
 
+mod common;
+
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -35,13 +37,13 @@ const STREAM_ID: u64 = 0xC0DEC;
 
 /// Small host shape shared by every test: 64-identifier dictionary,
 /// 32-chunk batches.
-fn host(durable: Option<PathBuf>) -> HostPathConfig {
+fn host(durable: Option<PathBuf>, spawn: SpawnPolicy) -> HostPathConfig {
     HostPathConfig {
         engine: EngineConfig {
             gd: GdConfig::for_parameters(8, 6).expect("valid GD parameters"),
             shards: 4,
             workers: 2,
-            spawn: SpawnPolicy::Inline,
+            spawn,
         },
         batch_chunks: BATCH_CHUNKS,
         durable,
@@ -50,9 +52,9 @@ fn host(durable: Option<PathBuf>) -> HostPathConfig {
     }
 }
 
-fn bind(backend: BackendChoice, durable: Option<PathBuf>) -> ServerHandle {
+fn bind(backend: BackendChoice, durable: Option<PathBuf>, spawn: SpawnPolicy) -> ServerHandle {
     let config = ServerConfigBuilder::new()
-        .host(host(durable))
+        .host(host(durable, spawn))
         .backend(backend)
         .build()
         .expect("valid server config");
@@ -106,8 +108,8 @@ fn entry_of(event: ServerEvent) -> Option<Entry> {
 /// Replays `entries` through a fresh registry decoder; panics (failing the
 /// test) on unknown tags or misordered updates.
 fn decode(entries: &[Entry]) -> Vec<u8> {
-    let mut decoder =
-        RegistryDecompressor::new(host(None).engine, CODEC_GD).expect("decoder builds");
+    let mut decoder = RegistryDecompressor::new(host(None, SpawnPolicy::Inline).engine, CODEC_GD)
+        .expect("decoder builds");
     let mut out = Vec::new();
     for entry in entries {
         match entry {
@@ -145,40 +147,62 @@ proptest! {
         segments in 3usize..6,
         batches_per_segment in 1usize..3,
     ) {
-        let data = mixed_data(seed, segments, batches_per_segment);
-        let server = bind(BackendChoice::Auto, None);
-        let mut session = ClientSession::connect(server.endpoint()).expect("connects");
-        let hello = session.hello(STREAM_ID, 0).expect("hello answered");
-        prop_assert_eq!(hello.version, WIRE_VERSION);
-        prop_assert!(
-            hello.codecs.contains(&CODEC_GD) && hello.codecs.contains(&CODEC_DEFLATE),
-            "a tagging server advertises its codec set: {:?}", hello.codecs
-        );
-        for chunk in data.chunks(CHUNK) {
-            session.send_data(chunk).expect("data sent");
-        }
-        session.end().expect("end sent");
-        let mut entries = Vec::new();
-        let done = session
-            .drain_to_done(|event| entries.extend(entry_of(event)))
-            .expect("clean finish");
-        prop_assert_eq!(done.bytes_in, data.len() as u64);
-        drop(server.shutdown());
-
-        prop_assert!(
-            entries.iter().all(|e| !matches!(e, Entry::Payload(None, ..))),
-            "a tagging backend leaves no payload untagged"
-        );
-        let (gd, deflate) = codecs_used(&entries);
-        prop_assert!(gd && deflate, "mixed data routes through both codecs");
-        prop_assert_eq!(decode(&entries), data);
+        common::for_each_policy(move |spawn| {
+            auto_served_stream_case(spawn, seed, segments, batches_per_segment)
+        });
     }
+}
+
+fn auto_served_stream_case(
+    spawn: SpawnPolicy,
+    seed: u64,
+    segments: usize,
+    batches_per_segment: usize,
+) {
+    let data = mixed_data(seed, segments, batches_per_segment);
+    let server = bind(BackendChoice::Auto, None, spawn);
+    let mut session = ClientSession::connect(server.endpoint()).expect("connects");
+    let hello = session.hello(STREAM_ID, 0).expect("hello answered");
+    assert_eq!(hello.version, WIRE_VERSION);
+    assert!(
+        hello.codecs.contains(&CODEC_GD) && hello.codecs.contains(&CODEC_DEFLATE),
+        "a tagging server advertises its codec set: {:?}",
+        hello.codecs
+    );
+    for chunk in data.chunks(CHUNK) {
+        session.send_data(chunk).expect("data sent");
+    }
+    session.end().expect("end sent");
+    let mut entries = Vec::new();
+    let done = session
+        .drain_to_done(|event| entries.extend(entry_of(event)))
+        .expect("clean finish");
+    assert_eq!(done.bytes_in, data.len() as u64);
+    drop(server.shutdown());
+
+    assert!(
+        entries
+            .iter()
+            .all(|e| !matches!(e, Entry::Payload(None, ..))),
+        "a tagging backend leaves no payload untagged"
+    );
+    let (gd, deflate) = codecs_used(&entries);
+    assert!(gd && deflate, "mixed data routes through both codecs");
+    assert_eq!(decode(&entries), data);
 }
 
 /// Raw v2/v3 clients against fixed and tagging servers: the negotiation
 /// matrix of `docs/container-format.md`, over real sockets.
 #[test]
 fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_tagging_ones() {
+    common::for_each_policy(
+        v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_tagging_ones_case,
+    );
+}
+
+fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_tagging_ones_case(
+    spawn: SpawnPolicy,
+) {
     let connect = |endpoint: &Endpoint| -> TcpStream {
         match endpoint {
             Endpoint::Tcp(addr) => TcpStream::connect(addr).expect("connects"),
@@ -195,7 +219,7 @@ fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_taggin
 
     // A v2 client against a fixed GD backend: full byte-compatible session
     // — v2 hello back, plain untagged payloads, clean DONE.
-    let server = bind(BackendChoice::Gd, None);
+    let server = bind(BackendChoice::Gd, None, spawn);
     let mut conn = connect(server.endpoint());
     let mut codec = WireCodec::new();
     conn.write_all(&codec.encode(&hello(2, Vec::new())))
@@ -236,7 +260,7 @@ fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_taggin
 
     // A v2 client against the tagging auto router: refused with a typed
     // ERROR record naming the problem, before any payload flows.
-    let server = bind(BackendChoice::Auto, None);
+    let server = bind(BackendChoice::Auto, None, spawn);
     let mut conn = connect(server.endpoint());
     let mut codec = WireCodec::new();
     conn.write_all(&codec.encode(&hello(2, Vec::new())))
@@ -253,7 +277,7 @@ fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_taggin
 
     // A v3 client whose advertised codec set misses a codec the backend
     // may emit: same typed refusal.
-    let server = bind(BackendChoice::Auto, None);
+    let server = bind(BackendChoice::Auto, None, spawn);
     let mut conn = connect(server.endpoint());
     let mut codec = WireCodec::new();
     conn.write_all(&codec.encode(&hello(WIRE_VERSION, vec![CODEC_DEFLATE])))
@@ -275,15 +299,21 @@ fn v2_clients_get_v2_sessions_from_fixed_backends_and_typed_refusals_from_taggin
 /// input through the registry.
 #[test]
 fn tagged_stream_resumes_bit_identically_after_crash_restart() {
+    common::for_each_policy(tagged_stream_resumes_bit_identically_after_crash_restart_case);
+}
+
+fn tagged_stream_resumes_bit_identically_after_crash_restart_case(spawn: SpawnPolicy) {
     let data = mixed_data(3, 8, 2);
     let crash_feed = data.len() / 2;
-    let dir =
-        std::env::temp_dir().join(format!("zipline-server-codec-tags-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "zipline-server-codec-tags-{spawn:?}-{}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 
     // Incarnation 1: feed half the input, never send END, kill the server
     // once responses have landed.
-    let server_a = bind(BackendChoice::Auto, Some(dir.clone()));
+    let server_a = bind(BackendChoice::Auto, Some(dir.clone()), spawn);
     let mut client1 = ClientSession::connect(server_a.endpoint()).expect("connects");
     let hello = client1.hello(STREAM_ID, 0).expect("hello answered");
     assert!(!hello.warm);
@@ -308,7 +338,7 @@ fn tagged_stream_resumes_bit_identically_after_crash_restart() {
 
     // Incarnation 2: restart over the same store; the replay past our
     // cursor and the resumed stream arrive tagged.
-    let server_b = bind(BackendChoice::Auto, Some(dir.clone()));
+    let server_b = bind(BackendChoice::Auto, Some(dir.clone()), spawn);
     let mut client2 = ClientSession::connect(server_b.endpoint()).expect("connects");
     let hello = client2.hello(STREAM_ID, held).expect("hello answered");
     assert!(hello.warm, "restart must restore the durable store");

@@ -10,6 +10,8 @@
 //! server replays the committed journal past it and names the input byte
 //! offset to resume from.
 
+mod common;
+
 use std::path::PathBuf;
 
 use zipline::host::HostPathConfig;
@@ -43,13 +45,13 @@ fn entry_of(event: ServerEvent) -> Option<Entry> {
 
 /// Churn-heavy durable host shape: 64-identifier dictionary, 32-chunk
 /// batches, checkpoint every batch, fdatasync barriers.
-fn durable_host(dir: PathBuf) -> HostPathConfig {
+fn durable_host(dir: PathBuf, spawn: SpawnPolicy) -> HostPathConfig {
     HostPathConfig {
         engine: EngineConfig {
             gd: GdConfig::for_parameters(8, 6).expect("valid GD parameters"),
             shards: 4,
             workers: 2,
-            spawn: SpawnPolicy::Inline,
+            spawn,
         },
         batch_chunks: 32,
         durable: Some(dir),
@@ -64,11 +66,11 @@ fn temp_root(tag: &str) -> PathBuf {
     dir
 }
 
-fn bind(dir: PathBuf) -> ServerHandle {
+fn bind(dir: PathBuf, spawn: SpawnPolicy) -> ServerHandle {
     ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
-            .host(durable_host(dir))
+            .host(durable_host(dir, spawn))
             .build()
             .expect("valid server config"),
     )
@@ -95,13 +97,17 @@ fn uninterrupted_run(endpoint: &Endpoint, bytes: &[u8]) -> Vec<Entry> {
 
 #[test]
 fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
+    common::for_each_policy(crash_restart_case);
+}
+
+fn crash_restart_case(spawn: SpawnPolicy) {
     let workload = CrashWorkload::exceeding_capacity(64, 4, CHUNK);
     let full_bytes = workload.full().bytes();
 
     // Ground truth: the same stream against a durable server that never
     // dies.
-    let ref_dir = temp_root("ref");
-    let ref_server = bind(ref_dir.clone());
+    let ref_dir = temp_root(&format!("ref-{spawn:?}"));
+    let ref_server = bind(ref_dir.clone(), spawn);
     let reference = uninterrupted_run(ref_server.endpoint(), &full_bytes);
     let report = ref_server.shutdown();
     assert!(report.errors.is_empty(), "{:?}", report.errors);
@@ -114,8 +120,8 @@ fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
 
     // Incarnation 1: feed the pre-crash phase, never send END, kill the
     // server once some responses have arrived.
-    let crash_dir = temp_root("crash");
-    let server_a = bind(crash_dir.clone());
+    let crash_dir = temp_root(&format!("crash-{spawn:?}"));
+    let server_a = bind(crash_dir.clone(), spawn);
     let mut client1 = ClientSession::connect(server_a.endpoint()).expect("connects");
     let hello = client1.hello(STREAM_ID, 0).expect("hello answered");
     assert!(!hello.warm);
@@ -152,7 +158,7 @@ fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
 
     // Incarnation 2: restart over the same store, reconnect with the
     // replay cursor, resume input at the server-named offset.
-    let server_b = bind(crash_dir.clone());
+    let server_b = bind(crash_dir.clone(), spawn);
     let mut client2 = ClientSession::connect(server_b.endpoint()).expect("connects");
     let hello = client2.hello(STREAM_ID, held).expect("hello answered");
     assert!(hello.warm, "restart must restore the durable store");
@@ -202,7 +208,7 @@ fn killed_mid_stream_and_restarted_is_bit_identical_to_uninterrupted() {
     // Epilogue: after the clean DONE the journal compacted and the cursor
     // reset — a cold reconnect is resynced by synthesized RESEED installs,
     // not by replay.
-    let server_c = bind(crash_dir.clone());
+    let server_c = bind(crash_dir.clone(), spawn);
     let mut client3 = ClientSession::connect(server_c.endpoint()).expect("connects");
     let hello = client3.hello(STREAM_ID, 0).expect("hello answered");
     assert!(hello.warm);

@@ -7,6 +7,8 @@
 //! tenant-scoped journal. A v1 peer is rejected with a typed `ERROR`
 //! record before any stream state exists.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -25,13 +27,13 @@ const CHUNK: usize = 32;
 const BATCH: usize = 8;
 
 /// Churn-heavy host shape: 64-identifier dictionary, 8-chunk batches.
-fn host(durable: Option<PathBuf>) -> HostPathConfig {
+fn host(durable: Option<PathBuf>, spawn: SpawnPolicy) -> HostPathConfig {
     HostPathConfig {
         engine: EngineConfig {
             gd: GdConfig::for_parameters(8, 6).expect("valid GD parameters"),
             shards: 4,
             workers: 2,
-            spawn: SpawnPolicy::Inline,
+            spawn,
         },
         batch_chunks: BATCH,
         sync: SyncPolicy::Data,
@@ -40,11 +42,11 @@ fn host(durable: Option<PathBuf>) -> HostPathConfig {
     }
 }
 
-fn bind(durable: Option<PathBuf>) -> ServerHandle {
+fn bind(durable: Option<PathBuf>, spawn: SpawnPolicy) -> ServerHandle {
     ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
-            .host(host(durable))
+            .host(host(durable, spawn))
             .build()
             .expect("valid server config"),
     )
@@ -181,13 +183,17 @@ fn multiplexed_run(
 
 #[test]
 fn many_flows_one_socket_decode_losslessly_and_independently() {
+    common::for_each_policy(many_flows_one_socket_decode_losslessly_and_independently_case);
+}
+
+fn many_flows_one_socket_decode_losslessly_and_independently_case(spawn: SpawnPolicy) {
     let flows = flows();
-    let server = bind(None);
+    let server = bind(None, spawn);
     let (streams, done_bytes) = multiplexed_run(server.endpoint(), &flows);
 
     // Every flow restores bit-identically through one decoder pool driven
     // only by its tagged record stream.
-    let mut pool = FlowDecoderPool::new(host(None).engine);
+    let mut pool = FlowDecoderPool::new(host(None, spawn).engine);
     for (key, bytes) in &flows {
         pool.open(*key).expect("pool open");
         assert_eq!(done_bytes[key], bytes.len() as u64);
@@ -223,12 +229,18 @@ fn many_flows_one_socket_decode_losslessly_and_independently() {
 
 #[test]
 fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
+    common::for_each_policy(
+        killed_durable_multiplexed_server_resumes_every_flow_bit_identically_case,
+    );
+}
+
+fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically_case(spawn: SpawnPolicy) {
     let flows = flows();
     let pre_chunks = 24usize;
 
     // Ground truth: the same flows against a durable server that never dies.
-    let ref_root = temp_root("ref");
-    let ref_server = bind(Some(ref_root.clone()));
+    let ref_root = temp_root(&format!("ref-{spawn:?}"));
+    let ref_server = bind(Some(ref_root.clone()), spawn);
     let (reference, _) = multiplexed_run(ref_server.endpoint(), &flows);
     drop(ref_server.shutdown());
     assert!(
@@ -241,8 +253,8 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
 
     // Incarnation 1: interleave the pre-crash chunks, never end anything,
     // kill the server once responses have landed for every flow.
-    let crash_root = temp_root("crash");
-    let server_a = bind(Some(crash_root.clone()));
+    let crash_root = temp_root(&format!("crash-{spawn:?}"));
+    let server_a = bind(Some(crash_root.clone()), spawn);
     let mut client1 = ClientSession::connect(server_a.endpoint()).expect("connects");
     client1.hello_multiplex().expect("hello answered");
     for (key, _) in &flows {
@@ -287,7 +299,7 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
 
     // Incarnation 2: restart over the same root, reopen every flow with its
     // replay cursor, resume each at the server-named offset.
-    let server_b = bind(Some(crash_root.clone()));
+    let server_b = bind(Some(crash_root.clone()), spawn);
     let mut client2 = ClientSession::connect(server_b.endpoint()).expect("connects");
     client2.hello_multiplex().expect("hello answered");
     for (key, _) in &flows {
@@ -359,7 +371,11 @@ fn killed_durable_multiplexed_server_resumes_every_flow_bit_identically() {
 
 #[test]
 fn version_one_peer_is_rejected_with_a_typed_error() {
-    let server = bind(None);
+    common::for_each_policy(version_one_peer_is_rejected_with_a_typed_error_case);
+}
+
+fn version_one_peer_is_rejected_with_a_typed_error_case(spawn: SpawnPolicy) {
+    let server = bind(None, spawn);
     let addr = server
         .endpoint()
         .to_string()

@@ -2,7 +2,12 @@
 //! in-process [`PipelinedStream`] over the same configuration, on both
 //! transports; concurrent connections stay isolated; shutdown is graceful
 //! (`DONE` with `server_initiated`); protocol violations surface as typed
-//! `ERROR` records instead of hangs or panics.
+//! `ERROR` records instead of hangs or panics. Every test runs under both
+//! pipeline spawn policies and a wall-clock bound; a closed loop whose
+//! window is one batch pins that finished batches never wait for more
+//! client input.
+
+mod common;
 
 use zipline::host::HostPathConfig;
 use zipline_engine::{
@@ -19,13 +24,13 @@ use zipline_traces::{ChunkWorkload, FlowMixConfig, FlowMixWorkload};
 /// A small, churn-heavy host shape: 64-identifier dictionary, 32-byte
 /// chunks, 64-chunk batches — every test below uses it so the reference
 /// and server engines are built from the same struct.
-fn small_host() -> HostPathConfig {
+fn small_host(spawn: SpawnPolicy) -> HostPathConfig {
     HostPathConfig {
         engine: EngineConfig {
             gd: GdConfig::for_parameters(8, 6).expect("valid GD parameters"),
             shards: 4,
             workers: 2,
-            spawn: SpawnPolicy::Inline,
+            spawn,
         },
         batch_chunks: 64,
         ..HostPathConfig::paper_default()
@@ -110,7 +115,11 @@ fn stream_over_socket(
 
 #[test]
 fn tcp_stream_is_bit_identical_to_the_local_pipeline() {
-    let host = small_host();
+    common::for_each_policy(tcp_stream_is_bit_identical_to_the_local_pipeline_case);
+}
+
+fn tcp_stream_is_bit_identical_to_the_local_pipeline_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let chunks = workload_chunks(1);
     let reference = reference_run(&host, &chunks);
 
@@ -135,11 +144,17 @@ fn tcp_stream_is_bit_identical_to_the_local_pipeline() {
 #[cfg(unix)]
 #[test]
 fn uds_stream_is_bit_identical_to_the_local_pipeline() {
-    let host = small_host();
+    common::for_each_policy(uds_stream_is_bit_identical_to_the_local_pipeline_case);
+}
+
+#[cfg(unix)]
+fn uds_stream_is_bit_identical_to_the_local_pipeline_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let chunks = workload_chunks(2);
     let reference = reference_run(&host, &chunks);
 
-    let path = std::env::temp_dir().join(format!("zipline-uds-{}.sock", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("zipline-uds-{spawn:?}-{}.sock", std::process::id()));
     let handle = ServerHandle::bind_uds(
         &path,
         ServerConfigBuilder::new()
@@ -158,7 +173,11 @@ fn uds_stream_is_bit_identical_to_the_local_pipeline() {
 
 #[test]
 fn concurrent_connections_each_match_their_own_reference() {
-    let host = small_host();
+    common::for_each_policy(concurrent_connections_each_match_their_own_reference_case);
+}
+
+fn concurrent_connections_each_match_their_own_reference_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let handle = ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
@@ -195,7 +214,11 @@ fn concurrent_connections_each_match_their_own_reference() {
 
 #[test]
 fn graceful_shutdown_finishes_in_flight_streams_with_done() {
-    let host = small_host();
+    common::for_each_policy(graceful_shutdown_finishes_in_flight_streams_with_done_case);
+}
+
+fn graceful_shutdown_finishes_in_flight_streams_with_done_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let handle = ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
@@ -228,7 +251,11 @@ fn graceful_shutdown_finishes_in_flight_streams_with_done() {
 
 #[test]
 fn duplicate_stream_ids_are_rejected_and_released() {
-    let host = small_host();
+    common::for_each_policy(duplicate_stream_ids_are_rejected_and_released_case);
+}
+
+fn duplicate_stream_ids_are_rejected_and_released_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let handle = ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
@@ -280,7 +307,11 @@ fn duplicate_stream_ids_are_rejected_and_released() {
 
 #[test]
 fn protocol_violations_surface_as_typed_error_records() {
-    let host = small_host();
+    common::for_each_policy(protocol_violations_surface_as_typed_error_records_case);
+}
+
+fn protocol_violations_surface_as_typed_error_records_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let handle = ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
@@ -317,7 +348,11 @@ fn protocol_violations_surface_as_typed_error_records() {
 
 #[test]
 fn closed_loop_harness_reports_sane_numbers() {
-    let host = small_host();
+    common::for_each_policy(closed_loop_harness_reports_sane_numbers_case);
+}
+
+fn closed_loop_harness_reports_sane_numbers_case(spawn: SpawnPolicy) {
+    let host = small_host(spawn);
     let handle = ServerHandle::bind_tcp(
         "127.0.0.1:0",
         ServerConfigBuilder::new()
@@ -359,4 +394,55 @@ fn closed_loop_harness_reports_sane_numbers() {
     let server = handle.shutdown();
     assert!(server.errors.is_empty(), "{:?}", server.errors);
     assert_eq!(server.stats.streams_completed, 2);
+}
+
+/// A closed loop whose window is exactly one batch: the client sends one
+/// batch and waits for it to come back before sending more. It only ends
+/// if every finished batch reaches the client without further input. With
+/// a real worker thread per stream this holds on any core count.
+#[test]
+fn closed_loop_with_a_one_batch_window_never_waits_on_the_server() {
+    for backend in [
+        BackendChoice::Gd,
+        BackendChoice::Deflate,
+        BackendChoice::Hybrid,
+        BackendChoice::Auto,
+    ] {
+        common::bounded(&format!("one-batch closed loop [{backend}]"), move || {
+            one_batch_window_case(backend)
+        });
+    }
+}
+
+fn one_batch_window_case(backend: BackendChoice) {
+    let host = small_host(SpawnPolicy::Threads);
+    let handle = ServerHandle::bind_tcp(
+        "127.0.0.1:0",
+        ServerConfigBuilder::new()
+            .host(host.clone())
+            .backend(backend)
+            .build()
+            .expect("valid server config"),
+    )
+    .expect("server binds");
+    let load = LoadConfig {
+        connections: 1,
+        window_chunks: host.batch_chunks,
+        chunk_bytes: host.engine.gd.chunk_bytes,
+        batch_chunks: host.batch_chunks,
+        backend,
+    };
+    let workloads: Vec<Box<dyn ChunkWorkload + Send>> =
+        vec![Box::new(FlowMixWorkload::new(FlowMixConfig {
+            chunks: 1024,
+            ..FlowMixConfig::small_with_seed(11)
+        }))];
+    let report =
+        run_closed_loop(handle.endpoint(), &load, "flows", 0x300, workloads).expect("load runs");
+    assert_eq!(report.records_sent, 1024);
+    assert_eq!(report.latency.count(), report.records_sent);
+
+    let server = handle.shutdown();
+    assert!(server.errors.is_empty(), "{:?}", server.errors);
+    assert_eq!(server.stats.streams_completed, 1);
 }

@@ -355,9 +355,14 @@ mod recovery_injection {
         }
     }
 
-    /// The reference recovery of the untampered store.
+    /// The reference recovery of the untampered store, opened from a copy
+    /// next to `dir`: each test has its own, so parallel tests never share
+    /// one.
     fn reference_warm(dir: &Path) -> WarmStart {
-        let scratch = recovery_dir("reference");
+        let mut scratch = dir.as_os_str().to_owned();
+        scratch.push("-reference");
+        let scratch = PathBuf::from(scratch);
+        let _ = std::fs::remove_dir_all(&scratch);
         clone_store(dir, &scratch);
         let (_, warm) = EngineStore::open(&scratch).unwrap();
         let warm = warm.expect("seed committed batches");
