@@ -8,10 +8,12 @@
 //!
 //! * `engine_batch` — raw engine compression of the churny stream (no
 //!   streaming front-end), the floor;
-//! * `snapshot_stream` — `EngineStream` without live sync plus one post-hoc
-//!   snapshot per run (the old, incorrect-under-churn protocol);
-//! * `live_sync_stream` — `EngineStream` with the update journal drained and
-//!   every install/evict handed to a control sink (the correct protocol);
+//! * `snapshot_stream` — the inline `PipelinedStream` without live sync plus
+//!   one post-hoc snapshot per run (the old, incorrect-under-churn
+//!   protocol);
+//! * `live_sync_stream` — the inline stream with the update journal drained
+//!   and every install/evict handed to a control sink (the correct
+//!   protocol);
 //! * `live_sync_frames` — the full `EngineHostPath`, control frames
 //!   serialized in-band through `EngineControlPlane`.
 //!
@@ -22,7 +24,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use zipline::host::{EngineHostPath, HostPathConfig};
-use zipline_engine::{CompressionEngine, EngineConfig, EngineStream, SpawnPolicy};
+use zipline_engine::{CompressionEngine, EngineConfig, PipelinedStream, SpawnPolicy};
 use zipline_gd::GdConfig;
 use zipline_traces::{ChurnWorkload, ChurnWorkloadConfig};
 
@@ -64,15 +66,19 @@ fn bench_dictionary_churn(c: &mut Criterion) {
 
     // The PR-2 protocol: stream + one post-hoc snapshot (wrong under churn;
     // benchmarked as the cost baseline the live path is compared against).
-    let mut engine = CompressionEngine::new(engine_config(gd)).unwrap();
+    // The stream owns the engine for each run; `finish` hands it back.
+    let mut slot = Some(CompressionEngine::new(engine_config(gd)).unwrap());
     group.bench_function("snapshot_stream", |b| {
         b.iter(|| {
             let mut sink_bytes = 0u64;
-            let mut stream = EngineStream::new(&mut engine, 64, |_, bytes: &[u8]| {
+            let engine = slot.take().expect("engine returned by finish");
+            let mut stream = PipelinedStream::new(engine, 64, |_, bytes: &[u8]| {
                 sink_bytes += bytes.len() as u64;
-            });
+            })
+            .unwrap();
             stream.push_record(black_box(&data)).unwrap();
-            let summary = stream.finish().unwrap();
+            let (engine, summary) = stream.finish().unwrap();
+            let engine = slot.insert(engine);
             black_box((summary, engine.snapshot(), sink_bytes))
         })
     });
@@ -81,18 +87,22 @@ fn bench_dictionary_churn(c: &mut Criterion) {
     // handed to the control sink interleaved with the payloads.
     let mut engine = CompressionEngine::new(engine_config(gd)).unwrap();
     engine.set_live_sync(true);
+    let mut slot = Some(engine);
     group.bench_function("live_sync_stream", |b| {
         b.iter(|| {
             let mut sink_bytes = 0u64;
             let mut updates = 0u64;
-            let mut stream = EngineStream::with_control_sink(
-                &mut engine,
+            let engine = slot.take().expect("engine returned by finish");
+            let mut stream = PipelinedStream::with_control_sink(
+                engine,
                 64,
                 |_, bytes: &[u8]| sink_bytes += bytes.len() as u64,
                 Some(|_: &zipline_engine::DictionaryUpdate| updates += 1),
-            );
+            )
+            .unwrap();
             stream.push_record(black_box(&data)).unwrap();
-            let summary = stream.finish().unwrap();
+            let (engine, summary) = stream.finish().unwrap();
+            slot = Some(engine);
             black_box((summary, sink_bytes, updates))
         })
     });

@@ -11,8 +11,9 @@
 //!
 //! On a single-core host (such as the CI container) [`SpawnPolicy::Auto`]
 //! degrades the pipelined stream to inline execution: the numbers then
-//! measure the pipeline's bookkeeping overhead over `EngineStream`, which
-//! must stay within jitter of the `sync_stream` baseline — that is the
+//! measure the pipeline's bookkeeping overhead over the inline stream of an
+//! unpipelined engine, which must stay within jitter of the `sync_stream`
+//! baseline — that is the
 //! regression the committed `BENCH_PR5.json` baseline tracks. The `_d<N>`
 //! suffix is the pipeline depth (batches in flight before ingest blocks).
 //!
@@ -21,9 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use zipline_engine::{
-    CompressionEngine, EngineBuilder, EngineStream, GdBackend, PipelinedStream, SpawnPolicy,
-};
+use zipline_engine::{EngineBuilder, PipelinedStream, SpawnPolicy};
 use zipline_gd::GdConfig;
 
 /// Records per stream run and bytes per record (4 chunks each).
@@ -64,30 +63,17 @@ fn bench_pipelined_ingest(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipelined_ingest");
     group.throughput(Throughput::Bytes(total_bytes));
 
-    // Baseline: the synchronous stream with the same producer inline.
-    let mut engine = builder(None).build().unwrap();
-    group.bench_function("sync_stream", |b| {
-        b.iter(|| {
-            let mut wire = 0u64;
-            let mut stream = EngineStream::new(&mut engine, 64, |_, bytes| {
-                wire += bytes.len() as u64;
-            });
-            let mut record = [0u8; RECORD_BYTES];
-            for i in 0..RECORDS {
-                produce_record(i as u64, &mut record);
-                stream.push_record(black_box(&record)).unwrap();
-            }
-            stream.finish().unwrap();
-            black_box(wire)
-        })
-    });
-
-    // Pipelined at several depths. The engine is threaded through an Option
-    // because the stream owns it for the duration of each run.
-    for depth in [1usize, 2, 4] {
-        let mut slot: Option<CompressionEngine<GdBackend>> =
-            Some(builder(Some(depth)).build().unwrap());
-        group.bench_function(format!("pipelined_d{depth}"), |b| {
+    // Baseline: the inline stream of an engine built without
+    // `pipelined()`, with the same producer; then pipelined at several
+    // depths. The engine is threaded through an Option because the stream
+    // owns it for the duration of each run.
+    for depth in [None, Some(1usize), Some(2), Some(4)] {
+        let name = match depth {
+            None => "sync_stream".to_string(),
+            Some(depth) => format!("pipelined_d{depth}"),
+        };
+        let mut slot = Some(builder(depth).build().unwrap());
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let engine = slot.take().expect("engine returned by finish");
                 let mut wire = 0u64;

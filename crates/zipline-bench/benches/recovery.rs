@@ -2,7 +2,8 @@
 //! path and rehydration on restart.
 //!
 //! * `in_memory_stream` vs `durable_stream`: the same churn-heavy stream
-//!   through `EngineStream` without and with a backing [`EngineStore`].
+//!   through the inline `PipelinedStream` without and with a backing
+//!   [`EngineStore`].
 //!   The delta is the full commit-then-emit price (staging the batch,
 //!   CRC-framing frame/control/delta/checkpoint records, two buffered
 //!   flushes per batch). `finish` compacts the store, so the on-disk logs
@@ -22,7 +23,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use std::path::PathBuf;
 use zipline_engine::{
-    CompressionEngine, EngineBuilder, EngineStore, EngineStream, GdBackend, SpawnPolicy,
+    CompressionEngine, EngineBuilder, EngineStore, GdBackend, PipelinedStream, SpawnPolicy,
 };
 use zipline_gd::config::GdConfig;
 use zipline_traces::{ChurnWorkload, ChurnWorkloadConfig};
@@ -56,13 +57,18 @@ fn churny_data() -> Vec<u8> {
     ChurnWorkload::new(ChurnWorkloadConfig::exceeding_capacity(64, 2, 32)).bytes()
 }
 
-fn run_stream(engine: &mut CompressionEngine<GdBackend>, data: &[u8]) -> u64 {
+/// One stream run over the engine in `slot`: the stream owns the engine
+/// for the run and `finish` hands it back.
+fn run_stream(slot: &mut Option<CompressionEngine<GdBackend>>, data: &[u8]) -> u64 {
+    let engine = slot.take().expect("engine returned by finish");
     let mut wire = 0u64;
-    let mut stream = EngineStream::new(engine, BATCH_UNITS, |_, bytes| {
+    let mut stream = PipelinedStream::new(engine, BATCH_UNITS, |_, bytes: &[u8]| {
         wire += bytes.len() as u64;
-    });
+    })
+    .unwrap();
     stream.push_record(black_box(data)).unwrap();
-    stream.finish().unwrap();
+    let (engine, _) = stream.finish().unwrap();
+    *slot = Some(engine);
     wire
 }
 
@@ -72,7 +78,7 @@ fn bench_recovery(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(data.len() as u64));
 
     // Baseline: the same stream with no store attached.
-    let mut plain = builder().build().unwrap();
+    let mut plain = Some(builder().build().unwrap());
     group.bench_function("in_memory_stream", |b| {
         b.iter(|| black_box(run_stream(&mut plain, &data)))
     });
@@ -81,17 +87,19 @@ fn bench_recovery(c: &mut Criterion) {
     // The default cadence of 1 writes a full-state checkpoint per batch
     // (bit-exact recovery); cadence 8 amortizes it to deltas-plus-fold.
     let durable_dir = bench_dir("stream");
-    let mut durable = builder().durable(durable_dir.clone()).build().unwrap();
+    let mut durable = Some(builder().durable(durable_dir.clone()).build().unwrap());
     group.bench_function("durable_stream", |b| {
         b.iter(|| black_box(run_stream(&mut durable, &data)))
     });
     drop(durable);
     let sparse_dir = bench_dir("stream-c8");
-    let mut sparse = builder()
-        .durable(sparse_dir.clone())
-        .checkpoint_cadence(8)
-        .build()
-        .unwrap();
+    let mut sparse = Some(
+        builder()
+            .durable(sparse_dir.clone())
+            .checkpoint_cadence(8)
+            .build()
+            .unwrap(),
+    );
     group.bench_function("durable_stream_cadence8", |b| {
         b.iter(|| black_box(run_stream(&mut sparse, &data)))
     });
@@ -99,7 +107,7 @@ fn bench_recovery(c: &mut Criterion) {
 
     // Warm restart off a compacted store: one checkpoint, no fold.
     let checkpoint_dir = bench_dir("checkpoint");
-    let mut seeded = builder().durable(checkpoint_dir.clone()).build().unwrap();
+    let mut seeded = Some(builder().durable(checkpoint_dir.clone()).build().unwrap());
     run_stream(&mut seeded, &data);
     drop(seeded);
     group.bench_function("rehydrate_checkpoint", |b| {
@@ -113,17 +121,15 @@ fn bench_recovery(c: &mut Criterion) {
     // Worst-case restart: the writer died mid-stream with the checkpoint
     // cadence starved, so open() folds the full delta journal.
     let fold_dir = bench_dir("fold");
-    let mut crashed = builder()
+    let crashed = builder()
         .durable(fold_dir.clone())
         .checkpoint_cadence(u64::MAX)
         .build()
         .unwrap();
-    {
-        let mut stream = EngineStream::new(&mut crashed, BATCH_UNITS, |_, _| {});
-        stream.push_record(&data).unwrap();
-        // No finish: the store keeps its raw journal, checkpoint-free.
-    }
-    drop(crashed);
+    let mut stream = PipelinedStream::new(crashed, BATCH_UNITS, |_, _| {}).unwrap();
+    stream.push_record(&data).unwrap();
+    // No finish: the store keeps its raw journal, checkpoint-free.
+    drop(stream);
     group.bench_function("rehydrate_fold", |b| {
         b.iter(|| {
             let (store, warm) = EngineStore::open(&fold_dir).unwrap();

@@ -5,7 +5,7 @@
 //! the seam that lets our engine run that comparison live instead of
 //! offline: [`CompressionBackend`] captures exactly what
 //! [`CompressionEngine`](crate::CompressionEngine),
-//! [`EngineStream`](crate::EngineStream) and the `zipline` crate's host path
+//! [`PipelinedStream`](crate::PipelinedStream) and the `zipline` crate's host path
 //! need from a codec, so the same sharded, streaming, live-synced pipeline
 //! drives GD ([`GdBackend`](crate::GdBackend)), DEFLATE/gzip
 //! ([`DeflateBackend`]) and a no-op floor ([`PassthroughBackend`]) — and,
@@ -250,7 +250,7 @@ fn deflate_error(e: zipline_deflate::DeflateError) -> GdError {
 ///
 /// Batch size is the ratio lever: DEFLATE "requires a minimum of 3 kB to
 /// compress data" (the paper's phrasing), so feed it kilobyte-scale batches
-/// — e.g. `EngineStream` with `unit_bytes == 1` and `batch_units == 8192`.
+/// — e.g. a `PipelinedStream` with `unit_bytes == 1` and `batch_units == 8192`.
 #[derive(Debug, Clone)]
 pub struct DeflateBackend {
     level: Level,

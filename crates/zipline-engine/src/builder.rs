@@ -128,13 +128,14 @@ impl<B: CompressionBackend> EngineBuilder<B> {
         self
     }
 
-    /// Opts the built engine in to pipelined ingest
-    /// ([`PipelinedStream`](crate::PipelinedStream)): `depth` is the bounded
-    /// channel capacity — filled batches allowed in flight between the
-    /// ingest thread and the engine worker before `push_record` blocks.
-    /// Depth 1 is classic double buffering. Validated at
-    /// [`build`](Self::build) (`1..=`[`MAX_PIPELINE_DEPTH`]); whether a
-    /// worker thread actually spawns follows the engine's
+    /// Opts the built engine in to pipelined ingest: a
+    /// [`PipelinedStream`](crate::PipelinedStream) over it may run its
+    /// engine on a worker thread (without this call it always runs
+    /// inline). `depth` is the bounded channel capacity — filled batches
+    /// allowed in flight between the ingest thread and the engine worker
+    /// before `push_record` blocks. Depth 1 is classic double buffering.
+    /// Validated at [`build`](Self::build) (`1..=`[`MAX_PIPELINE_DEPTH`]);
+    /// whether a worker thread actually spawns follows the engine's
     /// [`spawn`](Self::spawn) policy, so a 1-core host under
     /// [`SpawnPolicy::Auto`] degrades to inline execution with identical
     /// output.
@@ -160,7 +161,8 @@ impl<B: CompressionBackend> EngineBuilder<B> {
     }
 
     /// Sets the durable store's checkpoint cadence: a full-state
-    /// checkpoint every `batches` commits. The default of 1 makes every
+    /// checkpoint every `batches` commits of an inline stream (a threaded
+    /// stream's commits carry none). The default of 1 makes every inline
     /// commit bit-exactly recoverable; larger cadences trade checkpoint
     /// bytes for delta-fold (*consistent*) recovery. No effect without
     /// [`durable`](Self::durable).

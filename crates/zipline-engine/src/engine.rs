@@ -730,7 +730,7 @@ impl BackendDecompressor for GdBackendDecompressor {
     }
 
     /// Decodes one wire payload produced by the engine stream (see
-    /// `EngineStream`), appending the restored bytes to `out`. Type 2
+    /// `PipelinedStream`), appending the restored bytes to `out`. Type 2
     /// payloads teach the dictionary exactly like `NewBasis` records.
     fn restore_payload_into(
         &mut self,
@@ -780,9 +780,10 @@ impl BackendDecompressor for GdBackendDecompressor {
 #[derive(Debug)]
 pub struct CompressionEngine<B: CompressionBackend = GdBackend> {
     backend: B,
-    /// Ingest pipeline shape, when the engine was built for
-    /// [`PipelinedStream`](crate::PipelinedStream) via
-    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined).
+    /// Ingest pipeline shape, when the engine was built via
+    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined) for a
+    /// threaded [`PipelinedStream`](crate::PipelinedStream); without one the
+    /// stream runs inline.
     pipeline: Option<PipelineConfig>,
     /// The durability layer, when the engine was built with
     /// [`EngineBuilder::durable`](crate::EngineBuilder::durable). Streams
@@ -850,16 +851,9 @@ impl<B: CompressionBackend> CompressionEngine<B> {
 
     /// Detaches and returns the durability layer (used by
     /// [`PipelinedStream`](crate::PipelinedStream), which journals on the
-    /// caller side while the engine lives on the worker thread).
+    /// calling thread wherever the engine lives).
     pub fn take_store(&mut self) -> Option<EngineStore> {
         self.store.take()
-    }
-
-    /// Split borrow: the backend and the attached store, simultaneously
-    /// mutable (the stream needs the backend to emit while the store
-    /// journals).
-    pub fn backend_and_store_mut(&mut self) -> (&mut B, Option<&mut EngineStore>) {
-        (&mut self.backend, self.store.as_mut())
     }
 
     /// Stashes warm-restart recovery data (builder-internal).

@@ -1,12 +1,12 @@
 //! The engine's typed error: codec failures, persistence failures and the
-//! pipelined worker loss case, in one enum.
+//! pipelined worker failures, in one enum.
 //!
 //! Until the durability layer landed, every engine API surfaced
 //! [`GdError`] directly; the persist layer adds failure modes (I/O,
 //! on-disk corruption) that are not codec errors, and the pipelined
-//! ingest path adds one more (the dedicated engine worker dying without a
-//! report). [`EngineError`] is the sum of all three, and the engine-level
-//! `Result` alias every stream/builder API now returns. `From` impls keep
+//! ingest path adds two more (the dedicated engine worker failing to
+//! start, or dying without a report). [`EngineError`] is their sum, and the
+//! engine-level `Result` alias every stream/builder API now returns. `From` impls keep
 //! `?` ergonomic across the layers; callers that only ever used the GD
 //! backend can match [`EngineError::Gd`] and treat the rest as fatal.
 
@@ -24,6 +24,9 @@ pub enum EngineError {
     /// The pipelined ingest worker exited without reporting an error —
     /// the engine (and any batches in flight) are lost.
     WorkerLost,
+    /// The pipelined ingest worker thread could not be started (the OS
+    /// refused the spawn) — the engine moved into it is lost.
+    WorkerSpawn(std::io::Error),
 }
 
 /// Engine-level result alias.
@@ -40,6 +43,9 @@ impl std::fmt::Display for EngineError {
                     "pipelined engine worker exited without reporting an error"
                 )
             }
+            EngineError::WorkerSpawn(e) => {
+                write!(f, "could not spawn the pipelined engine worker: {e}")
+            }
         }
     }
 }
@@ -49,6 +55,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Gd(e) => Some(e),
             EngineError::Persist(e) => Some(e),
+            EngineError::WorkerSpawn(e) => Some(e),
             EngineError::WorkerLost => None,
         }
     }
@@ -83,5 +90,9 @@ mod tests {
 
         assert!(EngineError::WorkerLost.source().is_none());
         assert!(EngineError::WorkerLost.to_string().contains("worker"));
+
+        let spawn = EngineError::WorkerSpawn(std::io::Error::other("no threads"));
+        assert!(spawn.to_string().contains("spawn"));
+        assert!(spawn.source().unwrap().to_string().contains("no threads"));
     }
 }

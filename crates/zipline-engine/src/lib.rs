@@ -28,19 +28,17 @@
 //!   change wall-clock time, and the 1-shard configuration is bit-identical
 //!   to [`zipline_gd::GdCompressor::compress_batch`] — a property asserted
 //!   across the trait boundary by the equivalence suite;
-//! * [`EngineStream`] — the streaming pipeline API: push records (e.g. from
-//!   `zipline-traces` workload iterators), get wire-ready payloads out
-//!   through the backend's recycled scratch. With a control sink attached
-//!   ([`EngineStream::control`]) the stream also emits every
+//! * [`PipelinedStream`] — the streaming API: push records (e.g. from
+//!   `zipline-traces` workload iterators), get wire-ready payloads out.
+//!   With a control sink attached
+//!   ([`PipelinedStream::with_control_sink`]) the stream also emits every
 //!   [`DictionaryUpdate`] interleaved with the payloads, which is what keeps
-//!   a remote decoder's table live under identifier churn;
-//! * [`PipelinedStream`] — asynchronous ingest over the same pipeline:
-//!   records flow through a bounded, backpressured channel into a dedicated
-//!   engine worker thread while the caller keeps filling the next
-//!   double-buffered batch, with buffers recycled end to end. Output
-//!   (payloads *and* interleaved control updates) is bit-identical to
-//!   [`EngineStream`], and on a single-core host the stream degrades to
-//!   inline execution under [`SpawnPolicy::Auto`];
+//!   a remote decoder's table live under identifier churn. The stream runs
+//!   inline on the calling thread, or — for an engine built with
+//!   [`EngineBuilder::pipelined`] on a host with cores to spare — feeds a
+//!   dedicated engine worker thread through a bounded, backpressured
+//!   channel while the caller fills the next batch. Output (payloads *and*
+//!   interleaved control updates) is bit-identical either way;
 //! * [`EngineBuilder`] — the one validated front door: backend, shards,
 //!   workers, spawn policy, live sync and the
 //!   [`pipelined`](EngineBuilder::pipelined) ingest depth, checked once at
@@ -77,7 +75,7 @@
 //!    [`UpdateOp::Install`] that recycles the identifier (same `at`);
 //! 3. applying every update with `at <= i` before decoding record `i`
 //!    resolves every `Ref` against exactly the basis the compressor
-//!    referenced — the property the interleaved [`EngineStream`] emission
+//!    referenced — the property the interleaved [`PipelinedStream`] emission
 //!    and the `zipline` crate's `EngineControlPlane` rely on;
 //! 4. the delta is a pure function of `(data, shard count)`: worker count
 //!    and spawn policy never change it.
@@ -115,7 +113,6 @@ pub mod persist;
 pub mod pipelined;
 pub mod registry;
 pub mod shard;
-pub mod stream;
 pub mod tenant;
 
 pub use backend::{
@@ -129,7 +126,7 @@ pub use engine::{
 };
 pub use error::EngineError;
 pub use persist::{CommittedEntry, EngineStore, PersistError, StoreOptions, SyncPolicy, WarmStart};
-pub use pipelined::{PipelineConfig, PipelinedStream, ReadySignal};
+pub use pipelined::{PipelineConfig, PipelinedStream, ReadySignal, StreamSummary};
 pub use registry::{
     codec_from_u8, AnyDecompressor, AutoBackend, AutoBatch, AutoConfig, AutoDecompressor,
     CodecCursor, CodecEntry, CodecId, CodecRegistry, HybridDecompressor, HybridGdDeflateBackend,
@@ -139,7 +136,6 @@ pub use shard::{
     DictionaryDelta, DictionarySnapshot, DictionaryState, DictionaryUpdate, ShardOutcome,
     ShardState, ShardStats, ShardedDictionary, UpdateOp,
 };
-pub use stream::{EngineStream, StreamSummary};
 pub use tenant::{
     flow_dir, flow_placement, plan_resume, reseed_updates, tenant_dir, FlowDecoderPool, FlowError,
     FlowEvent, FlowKey, FlowResume, FlowRouter, FlowRouterConfig, FlowSummary, TenantStats,

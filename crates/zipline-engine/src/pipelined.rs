@@ -1,37 +1,60 @@
-//! Pipelined asynchronous ingest: overlap record accumulation with batch
-//! compression.
+//! The engine's stream: records in, wire-ready payloads out, with batch
+//! compression optionally overlapped with record accumulation.
 //!
-//! [`EngineStream`](crate::EngineStream) is fully synchronous: while a batch
-//! compresses, ingest stalls, and while the next batch accumulates, the
-//! engine idles. On a host that sits between NIC ingest and the wire (the
-//! deployment `zipline::host` models) those two phases are exactly the work
-//! that should overlap. [`PipelinedStream`] does that with standard-library
-//! primitives only (the workspace is offline/vendored — no tokio):
+//! [`PipelinedStream`] adapts the batch-oriented [`CompressionEngine`] to
+//! record-at-a-time producers such as the `zipline-traces` workload
+//! iterators, for **any** [`CompressionBackend`]: records are buffered until
+//! a batch's worth of backend units is available
+//! ([`CompressionBackend::unit_bytes`] — GD chunks, or single bytes for the
+//! deflate and passthrough backends), the batch goes through the backend,
+//! and every resulting record is serialized as a wire-ready payload and
+//! handed to the caller's sink. [`finish`](PipelinedStream::finish) flushes
+//! the remainder (including a verbatim GD tail) and returns the engine with
+//! the stream totals. The emitted payload sequence decodes through
+//! [`EngineDecompressor::restore_payload_into`](crate::EngineDecompressor::restore_payload_into)
+//! for the same backend (and, for GD, the same shard count) back to the
+//! exact input bytes.
 //!
-//! * the caller pushes records into a **fill buffer**; whenever a batch's
-//!   worth of backend units has accumulated, the buffer is handed to a
-//!   dedicated **engine worker thread** over a *bounded*
+//! # Inline and threaded backings
+//!
+//! Where the engine lives decides how batches compress:
+//!
+//! * **inline** — the engine stays on the calling thread and every batch
+//!   compresses synchronously when it fills. This is the stream of an
+//!   engine built without [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined),
+//!   and of a pipelined one that may not spawn (see below);
+//! * **threaded** — on a host that sits between NIC ingest and the wire
+//!   (the deployment `zipline::host` models), compressing one batch while
+//!   the next accumulates is exactly the overlap worth a core. The engine
+//!   moves to a dedicated **engine worker thread**, fed over a *bounded*
 //!   [`std::sync::mpsc::sync_channel`] whose capacity is the pipeline
 //!   *depth* — when the worker falls behind, `push_record` blocks on the
 //!   send, which is the backpressure that keeps memory proportional to
-//!   `depth + 2` batches instead of the stream length;
-//! * the worker owns the [`CompressionEngine`] for the stream's lifetime:
-//!   it compresses each batch, drains the live-sync
-//!   [`DictionaryDelta`](crate::DictionaryDelta), serializes every payload
-//!   through the backend's recycled wire scratch into a flat per-batch
-//!   buffer, and sends the result back;
-//! * batch buffers are **double-buffered and recycled**: each result carries
-//!   its input buffer and wire buffers home, and the caller reuses them for
-//!   the next batch (the same scratch-recycling discipline as the engine's
-//!   per-worker `EncodeScratch`), so steady state allocates nothing beyond
-//!   the per-batch delta `Vec` that live sync drains — the same allocation
-//!   [`take_delta`](crate::CompressionBackend::take_delta) makes on the
-//!   synchronous path;
-//! * the caller emits finished batches through
-//!   [`emit_ready`](PipelinedStream::emit_ready), invoking the payload and
-//!   control sinks **on the calling thread**, in batch order — sinks
-//!   therefore need no `Send` bound and observe exactly the sequence the
-//!   synchronous stream would have produced.
+//!   `depth + 2` batches instead of the stream length. Batch buffers are
+//!   **recycled**: each result carries its input and wire buffers home, and
+//!   the caller reuses them for the next batch, so steady state allocates
+//!   nothing beyond the per-batch delta `Vec` that live sync drains.
+//!
+//! Both backings stage a batch the same way (compress, drain the live-sync
+//! [`DictionaryDelta`](crate::DictionaryDelta), serialize every payload into
+//! a flat per-batch buffer) and emit it the same way, invoking the payload
+//! and control sinks **on the calling thread**, in batch order — sinks
+//! therefore need no `Send` bound.
+//!
+//! # Live decoder sync
+//!
+//! With a control sink attached ([`PipelinedStream::with_control_sink`])
+//! the stream also hands every [`DictionaryUpdate`] to that sink,
+//! *interleaved* with the data payloads: each update immediately before
+//! the payload at whose position it happened. A control plane that
+//! serializes each update onto the same in-order channel as the payloads
+//! therefore guarantees that every compressed payload is preceded on the
+//! wire by the install traffic that makes it decodable — even when the
+//! dictionary churns past capacity and recycles identifiers. Delta-less
+//! backends (deflate, passthrough) never produce updates, so an attached
+//! control sink simply stays idle. The sink is attached at construction:
+//! for the threaded backing journaling must be enabled before the engine
+//! moves to the worker.
 //!
 //! # Emission rule and the ready signal
 //!
@@ -62,26 +85,22 @@
 //! # Determinism
 //!
 //! The worker processes batches in FIFO order against the same engine state
-//! the synchronous stream would have used, and emission goes through the
-//! same `InterleavedEmitter` discipline (shared with `EngineStream`), so
-//! the output — payload bytes
-//! *and* interleaved control updates — remains a pure function of
-//! `(data, shard count, batch size)` and is **bit-identical** to
-//! [`EngineStream`](crate::EngineStream) for every backend, spawn policy and
-//! depth (enforced by `tests/pipelined_ingest.rs`, including churn workloads
-//! with live sync).
-//!
-//! # Single-core degradation
-//!
-//! Under [`SpawnPolicy::Auto`] the stream spawns its worker only when the
-//! host has more than one core — the same fallback the engine's batch
-//! workers use. On a 1-core container it degrades to inline execution on
-//! the calling thread: no channel, no thread, same bytes.
+//! the inline backing would have used, and both backings emit through the
+//! same code, so the output — payload bytes *and* interleaved control
+//! updates — is a pure function of `(data, shard count, batch size)`:
+//! **bit-identical** across backings for every backend, spawn policy and
+//! depth (enforced by `tests/pipelined_ingest.rs`, including churn
+//! workloads with live sync).
 //!
 //! # Construction
 //!
-//! Opt in through [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined)
-//! (validated at `build()`), then wrap the engine:
+//! The stream takes the [`CompressionEngine`] **by value** and `finish`
+//! hands it back, dictionary and all. [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined)
+//! (validated at `build()`) opts in to the threaded backing; whether the
+//! worker actually spawns follows the engine's [`SpawnPolicy`]:
+//! [`SpawnPolicy::Auto`] spawns only when the host has more than one core
+//! (the same fallback the engine's batch workers use), so on a 1-core
+//! container the stream runs inline — no channel, no thread, same bytes.
 //!
 //! ```
 //! use zipline_engine::{EngineBuilder, PipelinedStream};
@@ -100,13 +119,6 @@
 //! assert!(engine.stats().is_consistent());
 //! ```
 //!
-//! Because the worker must own the engine, `PipelinedStream` takes the
-//! [`CompressionEngine`] **by value** and returns it from `finish` — unlike
-//! `EngineStream`, which borrows. A control sink is attached at
-//! construction ([`PipelinedStream::with_control_sink`]); it cannot be added
-//! later, since for the threaded mode journaling must be enabled before the
-//! engine moves to the worker.
-//!
 //! # Durability (commit-then-emit)
 //!
 //! For an engine built with
@@ -114,15 +126,20 @@
 //! [`EngineStore`] is detached at construction and held **caller-side**:
 //! each finished batch is committed (frames + dictionary delta + commit
 //! marker) on the emitting thread strictly before its first sink call, so
-//! sinks only ever observe committed output — the same guarantee as the
-//! synchronous [`EngineStream`](crate::EngineStream). Because the
-//! dictionary lives on the worker, mid-stream commits carry no checkpoint;
-//! recovery folds the delta log instead, and
-//! [`finish`](PipelinedStream::finish) compacts the store from the
-//! returned engine (one checkpoint) before re-attaching it. Worker-side
-//! failures surface as typed [`EngineError`]s: a parked compression error
-//! converts via `From<GdError>`, and a worker that vanished without one is
-//! [`EngineError::WorkerLost`].
+//! sinks only ever observe committed output. A crash at any point either
+//! loses an uncommitted batch (whose input re-runs on resume) or leaves a
+//! committed batch replayable from the store's
+//! [`WarmStart`](crate::WarmStart) journal, never a half-emitted one. The
+//! inline backing has the dictionary at hand, so its commits also carry a
+//! full-state checkpoint whenever one is due — a warm restart then restores
+//! bit-exactly. The threaded backing's dictionary lives on the worker, so
+//! its mid-stream commits carry no checkpoint and recovery folds the delta
+//! log instead. Either way [`finish`](PipelinedStream::finish) compacts the
+//! store from the returned engine (one checkpoint) before re-attaching it.
+//! Worker-side failures surface as typed [`EngineError`]s: a parked
+//! compression error converts via `From<GdError>`, a worker that vanished
+//! without one is [`EngineError::WorkerLost`], and a worker thread that
+//! could not be started is [`EngineError::WorkerSpawn`].
 
 use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -134,7 +151,6 @@ use crate::error::{EngineError, Result};
 use crate::persist::EngineStore;
 use crate::registry::{CodecCursor, CodecId};
 use crate::shard::DictionaryUpdate;
-use crate::stream::{InterleavedEmitter, StreamSummary};
 use zipline_gd::error::{GdError, Result as GdResult};
 use zipline_gd::packet::PacketType;
 use zipline_traces::ChunkWorkload;
@@ -186,13 +202,29 @@ impl PipelineConfig {
     }
 }
 
+/// Totals accumulated by a [`PipelinedStream`], returned by
+/// [`PipelinedStream::finish`].
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StreamSummary {
+    /// Record bytes pushed into the stream.
+    pub bytes_in: u64,
+    /// Wire payloads emitted to the sink.
+    pub payloads_emitted: u64,
+    /// Total wire bytes emitted to the sink.
+    pub wire_bytes: u64,
+    /// Payloads emitted in compressed (type 3) form.
+    pub compressed_payloads: u64,
+    /// Dictionary updates handed to the control sink (0 without live sync).
+    pub control_updates: u64,
+}
+
 /// One batch travelling through the pipeline, in both directions: towards
 /// the worker `input` holds the filled batch; on the way back `wire`,
 /// `records` and `updates` hold the compressed result and `input` rides
 /// along so the caller can recycle it. The `input`, `wire` and `records`
 /// buffers are reused across the stream's lifetime; `updates` is the `Vec`
-/// freshly allocated by `take_delta` each batch (exactly as on the
-/// synchronous path) and is consumed by the emission.
+/// freshly allocated by `take_delta` each batch and is consumed by the
+/// emission. The inline backing stages each batch in one shuttle too.
 #[derive(Debug, Default)]
 struct BatchShuttle {
     /// The batch's input bytes (a whole number of backend units, except for
@@ -248,8 +280,8 @@ fn run_worker<B: CompressionBackend>(
 }
 
 /// Compresses one shuttle in place: batch → wire bytes + record index +
-/// drained delta. Identical sequencing to `EngineStream::emit_batch`
-/// (compress, drain journal, serialize in input order).
+/// drained delta (compress, drain journal, serialize in input order). Both
+/// backings stage every batch through here.
 fn compress_shuttle<B: CompressionBackend>(
     engine: &mut CompressionEngine<B>,
     shuttle: &mut BatchShuttle,
@@ -259,9 +291,9 @@ fn compress_shuttle<B: CompressionBackend>(
     shuttle.updates.clear();
     let batch = engine.compress_batch(&shuttle.input)?;
     let backend = engine.backend_mut();
-    // Drain the journal even when no control sink consumes it, so stale
-    // events never leak into a later batch's delta (same rule as the
-    // synchronous stream).
+    // Drain the journal even when no control sink consumes it, so a stream
+    // without live sync on a journaling engine never leaks stale events
+    // into a later batch's (or a later stream's) delta.
     if backend.live_sync_enabled() {
         shuttle.updates = backend.take_delta().updates;
     }
@@ -290,15 +322,17 @@ struct Threaded<B: CompressionBackend> {
 
 /// Where the engine lives for the stream's lifetime.
 enum Backing<B: CompressionBackend> {
-    /// Single-core / inline fallback: the engine stays on the calling
-    /// thread and every batch compresses synchronously at dispatch.
+    /// The engine stays on the calling thread and every batch compresses
+    /// synchronously at dispatch: an unpipelined engine, or a pipelined one
+    /// whose spawn policy keeps it inline.
     Inline(Box<CompressionEngine<B>>),
     Threaded(Threaded<B>),
     /// Transient teardown state (after `finish`, or mid-`Drop`).
     Closed,
 }
 
-/// Pipelined front-end over a [`CompressionEngine`]; see the module docs.
+/// Streaming front-end over a [`CompressionEngine`], inline or threaded;
+/// see the module docs.
 pub struct PipelinedStream<F, G = fn(&DictionaryUpdate), B = GdBackend>
 where
     F: FnMut(PacketType, &[u8]),
@@ -316,18 +350,15 @@ where
     summary: StreamSummary,
     /// Durable store, detached from the engine at construction and held on
     /// the **calling** thread: commit-then-emit happens where the sinks run,
-    /// so sinks only ever observe committed batches, while the worker owns
-    /// nothing but the engine. Mid-stream commits carry no checkpoint (the
-    /// dictionary lives on the worker); `finish` compacts the store from
-    /// the returned engine and re-attaches it.
+    /// so sinks only ever observe committed batches, while a worker owns
+    /// nothing but the engine. Only inline commits can carry a checkpoint
+    /// (a threaded dictionary lives on the worker); `finish` compacts the
+    /// store from the returned engine and re-attaches it.
     store: Option<EngineStore>,
-    /// Reusable staging shuttle for the inline backing, so the inline path
-    /// shares the threaded path's commit-then-emit discipline.
+    /// Reusable staging shuttle for the inline backing.
     inline_shuttle: BatchShuttle,
     /// When attached, publishes each batch's codec tag before its payloads
-    /// reach the sink (see [`EngineStream::set_codec_cursor`]).
-    ///
-    /// [`EngineStream::set_codec_cursor`]: crate::EngineStream::set_codec_cursor
+    /// reach the sink (see [`Self::set_codec_cursor`]).
     codec_cursor: Option<CodecCursor>,
     /// The ready signal the worker fires after each result (shared with it).
     ready: ReadySlot,
@@ -338,15 +369,15 @@ where
     F: FnMut(PacketType, &[u8]),
     B: CompressionBackend + Send + 'static,
 {
-    /// Creates a pipelined stream that dispatches a batch every
-    /// `batch_units` backend units ([`CompressionBackend::unit_bytes`] each
-    /// — chunks for GD, bytes for deflate/passthrough), emitting each wire
-    /// payload to `sink` as `(packet type, payload bytes)` on the calling
-    /// thread.
+    /// Creates a stream that dispatches a batch every `batch_units` backend
+    /// units ([`CompressionBackend::unit_bytes`] each — chunks for GD, bytes
+    /// for deflate/passthrough), emitting each wire payload to `sink` as
+    /// `(packet type, payload bytes)` on the calling thread.
     ///
-    /// The engine must have been built with
-    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined);
-    /// `finish` hands it back.
+    /// The stream runs threaded only for an engine built with
+    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined) whose
+    /// [`SpawnPolicy`] allows a worker; otherwise it runs inline. `finish`
+    /// hands the engine back.
     pub fn new(engine: CompressionEngine<B>, batch_units: usize, sink: F) -> Result<Self> {
         Self::with_control_sink(engine, batch_units, sink, None)
     }
@@ -358,26 +389,34 @@ where
     G: FnMut(&DictionaryUpdate),
     B: CompressionBackend + Send + 'static,
 {
-    /// Creates a pipelined stream with an optional live-sync control sink.
-    /// When `control_sink` is `Some`, journaling is enabled on the backend
-    /// (before the engine moves to the worker) and every install/evict
-    /// event is handed to the sink interleaved with the payloads, exactly
-    /// as [`EngineStream::with_control_sink`](crate::EngineStream::with_control_sink)
-    /// would.
+    /// Creates a stream with an optional live-sync control sink. When
+    /// `control_sink` is `Some`, journaling is enabled on the backend
+    /// (before the engine moves to a worker) and every install/evict event
+    /// is handed to the sink interleaved with the payloads, in the order a
+    /// decoder must apply them (each update strictly before the payload at
+    /// whose position it happened).
+    ///
+    /// Fails with [`EngineError::WorkerSpawn`] when the worker thread
+    /// cannot be started; the engine is lost with it.
     pub fn with_control_sink(
         mut engine: CompressionEngine<B>,
         batch_units: usize,
         sink: F,
         control_sink: Option<G>,
     ) -> Result<Self> {
-        let pipeline = engine.pipeline().ok_or_else(|| {
-            GdError::InvalidConfig(
-                "engine was not configured for pipelined ingest; \
-                 opt in with EngineBuilder::pipelined(depth)"
-                    .into(),
-            )
-        })?;
-        pipeline.validate()?;
+        // `Some(depth)` exactly when the stream runs its engine on a worker.
+        let depth = match engine.pipeline() {
+            Some(pipeline) => {
+                pipeline.validate()?;
+                let threaded = match pipeline.spawn {
+                    SpawnPolicy::Inline => false,
+                    SpawnPolicy::Threads => true,
+                    SpawnPolicy::Auto => host_cores() > 1,
+                };
+                threaded.then_some(pipeline.depth)
+            }
+            None => None,
+        };
         let unit_bytes = engine.backend().unit_bytes().max(1);
         if control_sink.is_some() {
             engine.set_live_sync(true);
@@ -385,28 +424,24 @@ where
         // The store stays caller-side; only the engine crosses to the
         // worker thread.
         let store = engine.take_store();
-        let threaded = match pipeline.spawn {
-            SpawnPolicy::Inline => false,
-            SpawnPolicy::Threads => true,
-            SpawnPolicy::Auto => host_cores() > 1,
-        };
         let ready = ReadySlot::default();
-        let backing = if threaded {
-            let (jobs, job_rx) = sync_channel::<BatchShuttle>(pipeline.depth);
-            let (result_tx, results) = std::sync::mpsc::channel();
-            let worker_ready = Arc::clone(&ready);
-            let worker = std::thread::Builder::new()
-                .name("zipline-pipelined".into())
-                .spawn(move || run_worker(engine, job_rx, result_tx, worker_ready))
-                .expect("spawn pipelined engine worker");
-            Backing::Threaded(Threaded {
-                jobs,
-                results,
-                worker,
-                spare: Vec::new(),
-            })
-        } else {
-            Backing::Inline(Box::new(engine))
+        let backing = match depth {
+            Some(depth) => {
+                let (jobs, job_rx) = sync_channel::<BatchShuttle>(depth);
+                let (result_tx, results) = std::sync::mpsc::channel();
+                let worker_ready = Arc::clone(&ready);
+                let worker = std::thread::Builder::new()
+                    .name("zipline-pipelined".into())
+                    .spawn(move || run_worker(engine, job_rx, result_tx, worker_ready))
+                    .map_err(EngineError::WorkerSpawn)?;
+                Backing::Threaded(Threaded {
+                    jobs,
+                    results,
+                    worker,
+                    spare: Vec::new(),
+                })
+            }
+            None => Backing::Inline(Box::new(engine)),
         };
         Ok(Self {
             backing,
@@ -423,10 +458,10 @@ where
     }
 
     /// Attaches a [`CodecCursor`] the stream publishes each batch's codec
-    /// tag through, exactly as
-    /// [`EngineStream::set_codec_cursor`](crate::EngineStream::set_codec_cursor)
-    /// does: `Some(id)` while a tagging backend's batch flows to the sink,
-    /// `None` for fixed backends.
+    /// tag through. For a tagging backend
+    /// ([`CompressionBackend::tags_batches`]) the cursor reads `Some(id)`
+    /// while that batch's payloads flow to the sink; for a fixed backend it
+    /// always reads `None` (untagged).
     pub fn set_codec_cursor(&mut self, cursor: CodecCursor) {
         self.codec_cursor = Some(cursor);
     }
@@ -439,7 +474,9 @@ where
     }
 
     /// True when the stream runs an engine worker thread (false on the
-    /// inline fallback — single-core hosts under [`SpawnPolicy::Auto`], or
+    /// inline backing: an engine built without
+    /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined), a
+    /// single-core host under [`SpawnPolicy::Auto`], or
     /// [`SpawnPolicy::Inline`]).
     pub fn is_threaded(&self) -> bool {
         matches!(self.backing, Backing::Threaded(_))
@@ -492,6 +529,7 @@ where
             emit_shuttle(
                 &mut shuttle,
                 store.as_mut(),
+                None::<&B>,
                 codec_cursor.as_ref(),
                 sink,
                 control_sink,
@@ -536,6 +574,7 @@ where
                 emit_shuttle(
                     inline_shuttle,
                     store.as_mut(),
+                    Some(engine.backend()),
                     codec_cursor.as_ref(),
                     sink,
                     control_sink,
@@ -612,6 +651,7 @@ where
                             if let Err(e) = emit_shuttle(
                                 &mut shuttle,
                                 store.as_mut(),
+                                None::<&B>,
                                 codec_cursor.as_ref(),
                                 sink,
                                 control_sink,
@@ -648,13 +688,18 @@ where
     }
 }
 
-/// Commits (when durable) then emits one finished batch through the shared
-/// interleaving discipline. The commit happens strictly before the first
-/// sink call, so a crash between them re-emits from the store's journal
-/// rather than losing the batch.
-fn emit_shuttle<F, G>(
+/// Commits (when durable) then emits one finished batch: walks its payloads
+/// in input order, handing every dictionary update to the control sink
+/// strictly before the payload at whose position it happened. The commit
+/// happens strictly before the first sink call, so a crash between them
+/// re-emits from the store's journal rather than losing the batch.
+/// `dictionary` is the engine's backend when it is at hand (the inline
+/// backing): commits then carry a full-state checkpoint whenever one is
+/// due.
+fn emit_shuttle<F, G, B>(
     shuttle: &mut BatchShuttle,
     store: Option<&mut EngineStore>,
+    dictionary: Option<&B>,
     cursor: Option<&CodecCursor>,
     sink: &mut F,
     control_sink: &mut Option<G>,
@@ -663,29 +708,51 @@ fn emit_shuttle<F, G>(
 where
     F: FnMut(PacketType, &[u8]),
     G: FnMut(&DictionaryUpdate),
+    B: CompressionBackend,
 {
     if let Some(store) = store {
+        let state = match dictionary {
+            Some(backend) if store.checkpoint_due() => backend.export_dictionary_state(),
+            _ => None,
+        };
         store.commit_batch(
             &shuttle.records,
             &shuttle.wire,
             shuttle.codec,
             &shuttle.updates,
-            None,
+            state.as_ref(),
             shuttle.input.len() as u64,
         )?;
     }
     if let Some(cursor) = cursor {
         cursor.set(shuttle.codec);
     }
-    let updates = std::mem::take(&mut shuttle.updates);
-    let mut emitter = InterleavedEmitter::new(updates, sink, control_sink.as_mut(), summary);
+    let mut updates = std::mem::take(&mut shuttle.updates).into_iter().peekable();
     let mut offset = 0usize;
-    for &(packet_type, len) in &shuttle.records {
+    for (at, &(packet_type, len)) in (0u64..).zip(&shuttle.records) {
+        if let Some(control_sink) = control_sink.as_mut() {
+            while let Some(update) = updates.next_if(|u| u.at <= at) {
+                summary.control_updates += 1;
+                control_sink(&update);
+            }
+        }
         let end = offset + len as usize;
-        emitter.payload(packet_type, &shuttle.wire[offset..end]);
+        if packet_type == PacketType::Compressed {
+            summary.compressed_payloads += 1;
+        }
+        summary.payloads_emitted += 1;
+        summary.wire_bytes += u64::from(len);
+        sink(packet_type, &shuttle.wire[offset..end]);
         offset = end;
     }
-    emitter.finish();
+    // Updates positioned after the last payload (normally none) still
+    // drain, so the delta is always fully delivered.
+    if let Some(control_sink) = control_sink.as_mut() {
+        for update in updates {
+            summary.control_updates += 1;
+            control_sink(&update);
+        }
+    }
     Ok(())
 }
 
@@ -719,7 +786,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{DeflateBackend, PassthroughBackend};
     use crate::builder::EngineBuilder;
+
+    /// 4 shards, 2 workers, the given spawn policy.
+    fn test_builder(spawn: SpawnPolicy) -> EngineBuilder {
+        EngineBuilder::new().shards(4).workers(2).spawn(spawn)
+    }
 
     fn collect_pipelined(
         builder: EngineBuilder,
@@ -737,37 +810,27 @@ mod tests {
         emitted
     }
 
+    /// An engine built without `pipelined()` streams inline, byte-identical
+    /// to a `pipelined(1)` engine that may not spawn.
     #[test]
-    fn unpipelined_engine_is_rejected() {
-        let engine = EngineBuilder::new().build().unwrap();
-        let err = match PipelinedStream::new(engine, 16, |_, _| {}) {
-            Ok(_) => panic!("an engine without a pipeline config must be rejected"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, EngineError::Gd(GdError::InvalidConfig(_))));
+    fn unpipelined_engine_streams_inline_like_a_pipelined_one() {
+        let data: Vec<u8> = (0..32 * 200 + 5).map(|i| (i / 640) as u8).collect();
+        let builder = || test_builder(SpawnPolicy::Inline);
+        let stream = PipelinedStream::new(builder().build().unwrap(), 16, |_, _| {}).unwrap();
+        assert!(!stream.is_threaded());
+        drop(stream);
+        let unpipelined = collect_pipelined(builder(), 16, &data);
+        let pipelined = collect_pipelined(builder().pipelined(1), 16, &data);
+        assert_eq!(unpipelined, pipelined);
+        assert!(!unpipelined.is_empty());
     }
 
     #[test]
     fn threaded_and_inline_modes_agree() {
         let data: Vec<u8> = (0..32 * 200).map(|i| (i / 640) as u8).collect();
-        let inline = collect_pipelined(
-            EngineBuilder::new()
-                .shards(4)
-                .workers(2)
-                .spawn(SpawnPolicy::Inline)
-                .pipelined(2),
-            16,
-            &data,
-        );
-        let threaded = collect_pipelined(
-            EngineBuilder::new()
-                .shards(4)
-                .workers(2)
-                .spawn(SpawnPolicy::Threads)
-                .pipelined(2),
-            16,
-            &data,
-        );
+        let inline = collect_pipelined(test_builder(SpawnPolicy::Inline).pipelined(2), 16, &data);
+        let threaded =
+            collect_pipelined(test_builder(SpawnPolicy::Threads).pipelined(2), 16, &data);
         assert_eq!(inline, threaded);
         assert!(!inline.is_empty());
     }
@@ -795,10 +858,7 @@ mod tests {
 
     #[test]
     fn ready_signal_lets_emit_ready_deliver_a_batch_without_more_input() {
-        let engine = EngineBuilder::new()
-            .shards(4)
-            .workers(2)
-            .spawn(SpawnPolicy::Threads)
+        let engine = test_builder(SpawnPolicy::Threads)
             .pipelined(2)
             .build()
             .unwrap();
@@ -841,10 +901,7 @@ mod tests {
 
     #[test]
     fn finish_returns_the_engine_with_its_dictionary_state() {
-        let engine = EngineBuilder::new()
-            .shards(4)
-            .workers(2)
-            .spawn(SpawnPolicy::Threads)
+        let engine = test_builder(SpawnPolicy::Threads)
             .pipelined(2)
             .build()
             .unwrap();
@@ -854,5 +911,132 @@ mod tests {
         assert_eq!(summary.bytes_in, 32 * 64);
         assert_eq!(engine.stats().bases_learned, 1);
         assert_eq!(engine.stats().chunks_in, 64);
+    }
+
+    #[test]
+    fn stream_emits_payloads_that_restore_to_the_input() {
+        let builder = test_builder(SpawnPolicy::Inline);
+        let mut dec = builder.build_decompressor().unwrap();
+        let mut emitted: Vec<(PacketType, Vec<u8>)> = Vec::new();
+        let mut stream = PipelinedStream::new(builder.build().unwrap(), 16, |pt, bytes: &[u8]| {
+            emitted.push((pt, bytes.to_vec()));
+        })
+        .unwrap();
+
+        let mut input = Vec::new();
+        for i in 0..150u32 {
+            let mut record = [0u8; 32];
+            record[0] = (i % 4) as u8;
+            record[20] = 0xBE;
+            stream.push_record(&record).unwrap();
+            input.extend_from_slice(&record);
+        }
+        // A ragged final record exercises the verbatim tail.
+        stream.push_record(&[1, 2, 3]).unwrap();
+        input.extend_from_slice(&[1, 2, 3]);
+        let (_, summary) = stream.finish().unwrap();
+
+        assert_eq!(summary.bytes_in, input.len() as u64);
+        assert_eq!(summary.payloads_emitted, emitted.len() as u64);
+        assert_eq!(
+            summary.wire_bytes,
+            emitted.iter().map(|(_, b)| b.len() as u64).sum::<u64>()
+        );
+        assert!(summary.compressed_payloads > 140, "most chunks deduplicate");
+
+        let mut restored = Vec::new();
+        for (pt, bytes) in &emitted {
+            dec.restore_payload_into(*pt, bytes, &mut restored).unwrap();
+        }
+        assert_eq!(restored, input);
+    }
+
+    #[test]
+    fn plain_stream_on_a_journaling_engine_drains_stale_updates() {
+        let engine = test_builder(SpawnPolicy::Inline)
+            .live_sync(true)
+            .build()
+            .unwrap();
+        // A stream without a control sink must not leave the journal to leak
+        // into a later live-synced stream's delta.
+        let mut stream = PipelinedStream::new(engine, 4, |_, _| {}).unwrap();
+        stream.push_record(&[7u8; 32 * 6]).unwrap();
+        let (engine, summary) = stream.finish().unwrap();
+        assert_eq!(summary.control_updates, 0);
+
+        let mut updates = Vec::new();
+        let mut stream = PipelinedStream::with_control_sink(
+            engine,
+            4,
+            |_, _| {},
+            Some(|u: &DictionaryUpdate| updates.push(u.clone())),
+        )
+        .unwrap();
+        // The same basis again: known, so the live stream journals nothing
+        // new — stale events from the first stream must be gone.
+        stream.push_record(&[7u8; 32 * 2]).unwrap();
+        stream.finish().unwrap();
+        assert!(updates.is_empty(), "no stale updates leak across streams");
+    }
+
+    #[test]
+    fn small_batches_and_large_records_flush_incrementally() {
+        let engine = test_builder(SpawnPolicy::Inline).build().unwrap();
+        let mut count = 0usize;
+        let mut stream = PipelinedStream::new(engine, 1, |_, _| count += 1).unwrap();
+        // One push covering many chunks flushes as many batches as needed,
+        // each emitted before the push returns.
+        stream.push_record(&[0u8; 32 * 10]).unwrap();
+        let (engine, _) = stream.finish().unwrap();
+        assert_eq!(count, 10);
+        assert_eq!(engine.stats().bases_learned, 1);
+    }
+
+    #[test]
+    fn deflate_stream_batches_by_bytes_and_roundtrips() {
+        let engine = EngineBuilder::new()
+            .backend(DeflateBackend::default())
+            .build()
+            .unwrap();
+        let mut members: Vec<Vec<u8>> = Vec::new();
+        // unit_bytes == 1, so batch_units is a byte count: 4 KiB members.
+        let mut stream = PipelinedStream::new(engine, 4096, |pt, bytes: &[u8]| {
+            assert_eq!(pt, PacketType::Raw);
+            members.push(bytes.to_vec());
+        })
+        .unwrap();
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 19) as u8).collect();
+        stream.push_record(&data).unwrap();
+        let (engine, summary) = stream.finish().unwrap();
+        assert_eq!(summary.bytes_in, data.len() as u64);
+        assert_eq!(members.len(), 3, "10000 B split into 4096-byte batches");
+        assert!(summary.wire_bytes < data.len() as u64, "gzip compresses");
+
+        let mut dec = engine.decompressor().unwrap();
+        let mut restored = Vec::new();
+        for member in &members {
+            dec.restore_payload_into(PacketType::Raw, member, &mut restored)
+                .unwrap();
+        }
+        assert_eq!(restored, data);
+    }
+
+    #[test]
+    fn passthrough_stream_is_the_wire_floor() {
+        let engine = EngineBuilder::new()
+            .backend(PassthroughBackend::new())
+            .build()
+            .unwrap();
+        let mut wire = Vec::new();
+        let mut stream = PipelinedStream::new(engine, 512, |_, bytes: &[u8]| {
+            wire.extend_from_slice(bytes);
+        })
+        .unwrap();
+        let data = vec![0xA5u8; 2000];
+        stream.push_record(&data).unwrap();
+        let (_, summary) = stream.finish().unwrap();
+        assert_eq!(wire, data, "passthrough is the identity on the wire");
+        assert_eq!(summary.wire_bytes, summary.bytes_in, "ratio floor is 1.0");
+        assert_eq!(summary.compressed_payloads, 0);
     }
 }

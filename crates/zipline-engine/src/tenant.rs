@@ -66,10 +66,9 @@ use crate::builder::EngineBuilder;
 use crate::engine::{CompressionEngine, EngineConfig, GdBackend};
 use crate::error::EngineError;
 use crate::persist::{CommittedEntry, SyncPolicy};
-use crate::pipelined::{PipelinedStream, ReadySignal};
+use crate::pipelined::{PipelinedStream, ReadySignal, StreamSummary};
 use crate::registry::{CodecCursor, CodecId, RegistryDecompressor, CODEC_GD};
 use crate::shard::{DictionaryUpdate, UpdateOp};
-use crate::stream::StreamSummary;
 use zipline_gd::error::GdError;
 use zipline_gd::packet::PacketType;
 use zipline_gd::stats::CompressionStats;

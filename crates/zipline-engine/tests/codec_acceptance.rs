@@ -6,7 +6,7 @@
 //!   hindsight-optimal fixed choice plus its probing overhead;
 //! * the GD→deflate hybrid beats plain GD on the tracked sensor workload;
 //! * property test: tagged mixed-codec streams roundtrip bit-identically
-//!   through `EngineStream`, `PipelinedStream` and the durable store — the
+//!   through the inline and threaded streams and the durable store — the
 //!   per-batch codec tags survive every path and a `RegistryDecompressor`
 //!   reconstructs the input from the tags alone.
 
@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use zipline_deflate::Level;
 use zipline_engine::{
     AutoBackend, AutoConfig, CodecCursor, CodecId, CommittedEntry, CompressionBackend,
-    DeflateBackend, DictionaryUpdate, EngineBuilder, EngineConfig, EngineStream, GdBackend,
+    DeflateBackend, DictionaryUpdate, EngineBuilder, EngineConfig, GdBackend,
     HybridGdDeflateBackend, PipelinedStream, RegistryDecompressor, SpawnPolicy, CODEC_DEFLATE,
     CODEC_GD,
 };
@@ -162,15 +162,16 @@ fn auto_builder(dir: Option<&PathBuf>) -> EngineBuilder<AutoBackend> {
     builder.backend(AutoBackend::new(config, AutoConfig::default()).expect("auto builds"))
 }
 
-/// Runs `data` through a synchronous tagged `EngineStream`, collecting the
-/// interleaved events with each payload's codec tag sampled off the cursor.
+/// Runs `data` through a tagged `PipelinedStream` over the engine `builder`
+/// describes, collecting the interleaved events with each payload's codec
+/// tag sampled off the cursor.
 fn run_tagged_stream(
-    dir: Option<&PathBuf>,
+    builder: EngineBuilder<AutoBackend>,
     data: &[u8],
     batch_units: usize,
     finish: bool,
 ) -> Vec<Event> {
-    let mut engine = auto_builder(dir).build().expect("engine builds");
+    let engine = builder.build().expect("engine builds");
     let events: RefCell<Vec<Event>> = RefCell::new(Vec::new());
     let cursor = CodecCursor::new();
     let sampled = cursor.clone();
@@ -182,7 +183,8 @@ fn run_tagged_stream(
     let control_sink = Some(|update: &DictionaryUpdate| {
         events.borrow_mut().push(Event::Update(update.clone()));
     });
-    let mut stream = EngineStream::with_control_sink(&mut engine, batch_units, sink, control_sink);
+    let mut stream = PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink)
+        .expect("stream builds");
     stream.set_codec_cursor(cursor);
     stream.push_record(data).expect("push succeeds");
     if finish {
@@ -215,7 +217,7 @@ fn decode(events: &[Event]) -> Vec<u8> {
 fn mixed_stream_is_fully_tagged_and_uses_both_codecs() {
     let chunk = config().gd.chunk_bytes;
     let data = mixed_data(0, 6, 64, chunk);
-    let events = run_tagged_stream(None, &data, 16, true);
+    let events = run_tagged_stream(auto_builder(None), &data, 16, true);
     let tags: Vec<CodecId> = events
         .iter()
         .filter_map(|e| match e {
@@ -232,7 +234,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Tagged mixed-codec streams roundtrip bit-identically through the
-    /// synchronous stream, the pipelined stream and the durable store.
+    /// inline stream, the threaded stream and the durable store.
     #[test]
     fn tagged_mixed_codec_streams_roundtrip_bit_identically(
         seed in any::<u64>(),
@@ -243,29 +245,15 @@ proptest! {
         let batch_units = 16usize;
         let data = mixed_data(seed, segments, batches_per_segment * batch_units, chunk);
 
-        // Path 1: synchronous EngineStream.
-        let reference = run_tagged_stream(None, &data, batch_units, true);
+        // Path 1: the inline stream.
+        let reference = run_tagged_stream(auto_builder(None), &data, batch_units, true);
         prop_assert!(reference.iter().all(|e| !matches!(e, Event::Payload(None, ..))),
             "a tagging backend leaves no payload untagged");
         prop_assert_eq!(decode(&reference), data.clone());
 
-        // Path 2: PipelinedStream — byte- and tag-identical to path 1.
-        let engine = auto_builder(None).pipelined(2).build().expect("engine builds");
-        let events: RefCell<Vec<Event>> = RefCell::new(Vec::new());
-        let cursor = CodecCursor::new();
-        let sampled = cursor.clone();
-        let sink = |pt: PacketType, bytes: &[u8]| {
-            events.borrow_mut().push(Event::Payload(sampled.get(), pt, bytes.to_vec()));
-        };
-        let control_sink = Some(|update: &DictionaryUpdate| {
-            events.borrow_mut().push(Event::Update(update.clone()));
-        });
-        let mut stream = PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink)
-            .expect("stream builds");
-        stream.set_codec_cursor(cursor);
-        stream.push_record(&data).expect("push succeeds");
-        stream.finish().expect("finish succeeds");
-        let pipelined = events.into_inner();
+        // Path 2: the threaded stream — byte- and tag-identical to path 1.
+        let threaded = auto_builder(None).spawn(SpawnPolicy::Threads).pipelined(2);
+        let pipelined = run_tagged_stream(threaded, &data, batch_units, true);
         prop_assert_eq!(&pipelined, &reference);
 
         // Path 3: durable store — a killed writer's journal preserves the
@@ -273,7 +261,7 @@ proptest! {
         let dir = std::env::temp_dir()
             .join(format!("zipline-codec-acceptance-{seed}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let emitted = run_tagged_stream(Some(&dir), &data, batch_units, false);
+        let emitted = run_tagged_stream(auto_builder(Some(&dir)), &data, batch_units, false);
         let mut reopened = auto_builder(Some(&dir)).build().expect("engine reopens");
         let warm = reopened.take_warm_start().expect("store is warm");
         let committed: Vec<Event> = warm

@@ -13,8 +13,8 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 
 use zipline_engine::{
-    CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStream, GdBackend,
-    PipelinedStream, SpawnPolicy,
+    CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, GdBackend, PipelinedStream,
+    SpawnPolicy,
 };
 use zipline_gd::config::GdConfig;
 use zipline_gd::packet::PacketType;
@@ -49,16 +49,17 @@ fn builder(dir: Option<&PathBuf>) -> EngineBuilder {
     b
 }
 
-/// Runs `data` through a synchronous [`EngineStream`] over `engine`,
-/// collecting the interleaved wire events. `finish` controls whether the
-/// stream is completed (trailing flush + store compaction) or dropped
-/// mid-flight like a crashed process.
+/// Runs `data` through the stream of `engine` (inline unless it was built
+/// `pipelined()` for a worker), collecting the interleaved wire events.
+/// `finish` controls whether the stream is completed (trailing flush +
+/// store compaction, engine handed back) or dropped mid-flight like a
+/// crashed process, engine and store with it.
 fn run_stream(
-    engine: &mut CompressionEngine<GdBackend>,
+    engine: CompressionEngine<GdBackend>,
     batch_units: usize,
     data: &[u8],
     finish: bool,
-) -> Vec<WireEvent> {
+) -> (Vec<WireEvent>, Option<CompressionEngine<GdBackend>>) {
     let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
     let sink = |pt: PacketType, bytes: &[u8]| {
         events
@@ -68,14 +69,11 @@ fn run_stream(
     let control_sink = Some(|update: &DictionaryUpdate| {
         events.borrow_mut().push(WireEvent::Update(update.clone()));
     });
-    let mut stream = EngineStream::with_control_sink(engine, batch_units, sink, control_sink);
+    let mut stream =
+        PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink).unwrap();
     stream.push_record(data).unwrap();
-    if finish {
-        stream.finish().unwrap();
-    } else {
-        drop(stream);
-    }
-    events.into_inner()
+    let engine = finish.then(|| stream.finish().unwrap().0);
+    (events.into_inner(), engine)
 }
 
 /// The store's committed entries in the same event shape the sinks see.
@@ -96,12 +94,11 @@ fn durable_stream_emits_the_same_bytes_as_an_in_memory_one() {
     let dir = store_dir("transparent");
     let data = CrashWorkload::exceeding_capacity(64, 4, 32).full().bytes();
 
-    let mut plain = builder(None).build().unwrap();
-    let reference = run_stream(&mut plain, 16, &data, true);
+    let (reference, _) = run_stream(builder(None).build().unwrap(), 16, &data, true);
 
     let mut durable = builder(Some(&dir)).build().unwrap();
     assert!(durable.take_warm_start().is_none(), "fresh store is cold");
-    let observed = run_stream(&mut durable, 16, &data, true);
+    let (observed, _) = run_stream(durable, 16, &data, true);
 
     assert_eq!(observed, reference, "commit-then-emit changes no byte");
     assert!(reference.iter().any(|e| matches!(e, WireEvent::Update(_))));
@@ -119,8 +116,7 @@ fn killed_stream_resumes_bit_identically_from_the_last_commit() {
     let batch_units = 16usize;
     let chunk = 32usize;
 
-    let mut reference_engine = builder(None).build().unwrap();
-    let reference = run_stream(&mut reference_engine, batch_units, &data, true);
+    let (reference, _) = run_stream(builder(None).build().unwrap(), batch_units, &data, true);
 
     // Sweep several kill points (in whole batches) including one past the
     // dictionary's first eviction wave.
@@ -131,9 +127,8 @@ fn killed_stream_resumes_bit_identically_from_the_last_commit() {
 
         // Phase 1: the doomed writer. Whole batches only — the buffered
         // remainder (none here) and anything unfinished die with it.
-        let mut engine = builder(Some(&dir)).build().unwrap();
-        let emitted_before = run_stream(&mut engine, batch_units, &data[..cut], false);
-        drop(engine);
+        let engine = builder(Some(&dir)).build().unwrap();
+        let (emitted_before, _) = run_stream(engine, batch_units, &data[..cut], false);
 
         // Phase 2: restart. The store must hand back exactly what phase 1
         // emitted (sinks only see committed batches, and every whole batch
@@ -142,12 +137,15 @@ fn killed_stream_resumes_bit_identically_from_the_last_commit() {
         let warm = engine.take_warm_start().expect("store is warm");
         assert_eq!(warm.batches, kill_after_batches as u64);
         assert_eq!(warm.bytes_in, cut as u64, "resume cursor in input bytes");
-        assert!(warm.exact, "cadence-1 checkpoints restore bit-exactly");
+        assert!(
+            warm.exact,
+            "the inline stream's cadence-1 checkpoints restore bit-exactly"
+        );
         let committed = committed_events(warm.committed);
         assert_eq!(committed, emitted_before, "durable output = emitted output");
 
         // Phase 3: resume feeding from the recovered cursor.
-        let resumed = run_stream(&mut engine, batch_units, &data[cut..], true);
+        let (resumed, _) = run_stream(engine, batch_units, &data[cut..], true);
 
         let mut rejoined = committed;
         rejoined.extend(resumed);
@@ -172,9 +170,8 @@ fn mid_batch_kill_loses_only_the_uncommitted_tail() {
     // 2 whole batches plus 5 chunks of a third: the tail never commits.
     let cut = (2 * batch_units + 5) * 32;
 
-    let mut engine = builder(Some(&dir)).build().unwrap();
-    let emitted = run_stream(&mut engine, batch_units, &data[..cut], false);
-    drop(engine);
+    let engine = builder(Some(&dir)).build().unwrap();
+    let (emitted, _) = run_stream(engine, batch_units, &data[..cut], false);
 
     let mut engine = builder(Some(&dir)).build().unwrap();
     let warm = engine.take_warm_start().expect("store is warm");
@@ -188,18 +185,22 @@ fn mid_batch_kill_loses_only_the_uncommitted_tail() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The pipelined stream holds the store caller-side and commits before
-/// emitting; its durable output matches the synchronous durable stream
-/// byte for byte, and after `finish` the store is compacted and
+/// A pipelined stream holds the store caller-side and commits before
+/// emitting; its durable output matches the inline durable stream byte for
+/// byte on either backing, and after `finish` the store is compacted and
 /// re-attached so a reopen warm-starts at the full stream boundary.
 #[test]
 fn pipelined_durable_stream_matches_and_reattaches_the_store() {
     let data = CrashWorkload::exceeding_capacity(64, 4, 32).full().bytes();
     let batch_units = 16usize;
 
-    let sync_dir = store_dir("piped-sync");
-    let mut sync_engine = builder(Some(&sync_dir)).build().unwrap();
-    let reference = run_stream(&mut sync_engine, batch_units, &data, true);
+    let inline_dir = store_dir("piped-inline");
+    let (reference, _) = run_stream(
+        builder(Some(&inline_dir)).build().unwrap(),
+        batch_units,
+        &data,
+        true,
+    );
 
     for spawn in [SpawnPolicy::Inline, SpawnPolicy::Threads] {
         let dir = store_dir(&format!("piped-{spawn:?}"));
@@ -208,24 +209,12 @@ fn pipelined_durable_stream_matches_and_reattaches_the_store() {
             .pipelined(2)
             .build()
             .unwrap();
-        let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
-        let sink = |pt: PacketType, bytes: &[u8]| {
-            events
-                .borrow_mut()
-                .push(WireEvent::Payload(pt, bytes.to_vec()));
-        };
-        let control_sink = Some(|update: &DictionaryUpdate| {
-            events.borrow_mut().push(WireEvent::Update(update.clone()));
-        });
-        let mut stream =
-            PipelinedStream::with_control_sink(engine, batch_units, sink, control_sink).unwrap();
-        stream.push_record(&data).unwrap();
-        let (engine, _) = stream.finish().unwrap();
+        let (events, engine) = run_stream(engine, batch_units, &data, true);
         assert_eq!(
-            events.into_inner(),
-            reference,
+            events, reference,
             "spawn = {spawn:?}: pipelined durable wire diverges"
         );
+        let engine = engine.expect("finished streams hand the engine back");
         let store = engine.store().expect("finish re-attaches the store");
         let batch_bytes = batch_units * 32;
         let whole = (data.len() / batch_bytes) as u64;
@@ -241,11 +230,11 @@ fn pipelined_durable_stream_matches_and_reattaches_the_store() {
         assert!(warm.committed.is_empty(), "compaction retired the journal");
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&sync_dir);
+    let _ = std::fs::remove_dir_all(&inline_dir);
 }
 
-/// A killed *pipelined* writer recovers exactly like the synchronous one:
-/// the committed prefix plus a resumed synchronous run reproduces the
+/// A killed *threaded* writer recovers at a commit boundary like the inline
+/// one: the committed prefix plus a resumed inline run reproduces the
 /// uninterrupted wire.
 #[test]
 fn killed_pipelined_stream_recovers_at_a_commit_boundary() {
@@ -255,8 +244,7 @@ fn killed_pipelined_stream_recovers_at_a_commit_boundary() {
     let cut = workload.crash_offset_bytes();
     assert_eq!(cut % (batch_units * 32), 0, "crash at a batch boundary");
 
-    let mut reference_engine = builder(None).build().unwrap();
-    let reference = run_stream(&mut reference_engine, batch_units, &data, true);
+    let (reference, _) = run_stream(builder(None).build().unwrap(), batch_units, &data, true);
 
     let dir = store_dir("piped-kill");
     let engine = builder(Some(&dir))
@@ -283,10 +271,10 @@ fn killed_pipelined_stream_recovers_at_a_commit_boundary() {
     );
     assert!(
         !warm.exact,
-        "pipelined commits carry no checkpoints; recovery folds the delta log"
+        "threaded commits carry no checkpoints; recovery folds the delta log"
     );
     let mut rejoined = committed_events(warm.committed);
-    rejoined.extend(run_stream(&mut engine, batch_units, &data[resume..], true));
+    rejoined.extend(run_stream(engine, batch_units, &data[resume..], true).0);
     assert_eq!(rejoined, reference);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 use zipline_engine::{
     CompressionBackend, CompressionEngine, DictionaryUpdate, EngineConfig, EngineDecompressor,
-    EngineStream, GdBackend, SpawnPolicy, UpdateOp,
+    GdBackend, PipelinedStream, SpawnPolicy, UpdateOp,
 };
 use zipline_gd::bits::BitVec;
 use zipline_gd::codec::{
@@ -67,10 +67,10 @@ enum WireEvent {
     Payload(PacketType, Vec<u8>),
 }
 
-/// Runs `data` through a live-sync [`EngineStream`], capturing control
-/// updates and payloads into one interleaved event sequence.
+/// Runs `data` through a live-sync inline [`PipelinedStream`], capturing
+/// control updates and payloads into one interleaved event sequence.
 fn live_sync_events(config: EngineConfig, batch_chunks: usize, data: &[u8]) -> Vec<WireEvent> {
-    let mut engine = CompressionEngine::new(config).expect("valid engine config");
+    let engine = CompressionEngine::new(config).expect("valid engine config");
     let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
     let sink = |pt: PacketType, bytes: &[u8]| {
         events
@@ -81,7 +81,8 @@ fn live_sync_events(config: EngineConfig, batch_chunks: usize, data: &[u8]) -> V
         events.borrow_mut().push(WireEvent::Update(update.clone()));
     };
     let mut stream =
-        EngineStream::with_control_sink(&mut engine, batch_chunks, sink, Some(control_sink));
+        PipelinedStream::with_control_sink(engine, batch_chunks, sink, Some(control_sink))
+            .expect("stream starts");
     stream.push_record(data).expect("push succeeds");
     stream.finish().expect("finish succeeds");
     events.into_inner()

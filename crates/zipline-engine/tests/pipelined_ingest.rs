@@ -1,10 +1,11 @@
-//! Acceptance suite for pipelined ingest (ISSUE 5):
+//! Acceptance suite for pipelined ingest:
 //!
 //! * [`PipelinedStream`] output — payload bytes *and* interleaved control
-//!   updates — is **bit-identical** to the synchronous [`EngineStream`] for
-//!   any shard count, worker count, spawn policy, pipeline depth and batch
-//!   size, including workloads that churn the dictionary past capacity with
-//!   live sync on (the proptest at the bottom);
+//!   updates — is **bit-identical** between the threaded backing and the
+//!   inline stream of an engine built without `pipelined()`, for any shard
+//!   count, worker count, spawn policy, pipeline depth and batch size,
+//!   including workloads that churn the dictionary past capacity with live
+//!   sync on (the proptests at the bottom);
 //! * the 1-shard/1-worker pipelined stream reproduces
 //!   [`GdCompressor::compress_batch`]'s records on the wire byte for byte;
 //! * edge cases: zero records, dropping the stream mid-batch (channel
@@ -15,8 +16,8 @@ use std::cell::RefCell;
 
 use proptest::prelude::*;
 use zipline_engine::{
-    CompressionEngine, DictionaryUpdate, EngineBuilder, EngineError, EngineStream, GdBackend,
-    PipelinedStream, SpawnPolicy,
+    CompressionEngine, DictionaryUpdate, EngineBuilder, EngineError, GdBackend, PipelinedStream,
+    SpawnPolicy,
 };
 use zipline_gd::codec::GdCompressor;
 use zipline_gd::config::GdConfig;
@@ -60,31 +61,16 @@ fn engine_for(
         .expect("valid engine config")
 }
 
-/// Runs `records` through the synchronous [`EngineStream`].
-fn run_sync(
-    mut engine: CompressionEngine<GdBackend>,
-    batch_units: usize,
-    records: &[Vec<u8>],
-    live_sync: bool,
-) -> EngineResult<StreamRun> {
-    let events: RefCell<Vec<WireEvent>> = RefCell::new(Vec::new());
-    let sink = |pt: PacketType, bytes: &[u8]| {
-        events
-            .borrow_mut()
-            .push(WireEvent::Payload(pt, bytes.to_vec()));
-    };
-    let control_sink = live_sync.then_some(|update: &DictionaryUpdate| {
-        events.borrow_mut().push(WireEvent::Update(update.clone()));
-    });
-    let mut stream = EngineStream::with_control_sink(&mut engine, batch_units, sink, control_sink);
-    for record in records {
-        stream.push_record(record)?;
-    }
-    let summary = stream.finish()?;
-    Ok(StreamRun {
-        events: events.into_inner(),
-        summary,
-    })
+/// The inline reference: the same shape built without `pipelined()`, so
+/// its stream compresses every batch on the calling thread.
+fn inline_engine(gd: GdConfig, shards: usize, workers: usize) -> CompressionEngine<GdBackend> {
+    EngineBuilder::new()
+        .gd(gd)
+        .shards(shards)
+        .workers(workers)
+        .spawn(SpawnPolicy::Inline)
+        .build()
+        .expect("valid engine config")
 }
 
 /// Runs `records` through the [`PipelinedStream`].
@@ -176,20 +162,14 @@ fn drop_mid_batch_closes_the_channel_cleanly() {
 
 /// Depth 1 with the worker forced on: every dispatch beyond the first two
 /// blocks on the bounded channel until the worker catches up. The stream
-/// must make progress and produce the exact synchronous output.
+/// must make progress and produce the exact inline output.
 #[test]
 fn depth_one_backpressure_still_produces_identical_output() {
     let gd = GdConfig::paper_default();
     let data: Vec<u8> = (0..32 * 300).map(|i| (i / 96) as u8).collect();
     let records: Vec<Vec<u8>> = data.chunks(65).map(|c| c.to_vec()).collect();
 
-    let sync = run_sync(
-        engine_for(gd, 4, 2, SpawnPolicy::Inline, 1),
-        4,
-        &records,
-        true,
-    )
-    .unwrap();
+    let inline = run_pipelined(inline_engine(gd, 4, 2), 4, &records, true).unwrap();
     let piped = run_pipelined(
         engine_for(gd, 4, 2, SpawnPolicy::Threads, 1),
         4,
@@ -198,7 +178,7 @@ fn depth_one_backpressure_still_produces_identical_output() {
     )
     .unwrap();
     assert!(piped.summary.payloads_emitted > 10);
-    assert_eq!(piped, sync);
+    assert_eq!(piped, inline);
 }
 
 /// A backend that fails compression on a chosen batch, to exercise the
@@ -348,7 +328,7 @@ fn single_shard_pipelined_wire_matches_gd_compressor() {
 
 /// Pipelined output is a pure function of `(data, shard count, batch
 /// size)`: depth, spawn policy and worker count never change a byte or an
-/// event — mirroring the synchronous stream's purity guarantee.
+/// event.
 #[test]
 fn pipelined_output_is_pure_in_shape_knobs() {
     let gd = GdConfig::for_parameters(3, 4).unwrap();
@@ -377,7 +357,7 @@ fn pipelined_output_is_pure_in_shape_knobs() {
 }
 
 // ---------------------------------------------------------------------------
-// Proptest equivalence: PipelinedStream == EngineStream
+// Proptest equivalence: every pipelined shape == the inline stream
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -386,8 +366,8 @@ proptest! {
     /// For any shard/worker/spawn/depth shape, batch size and record
     /// segmentation — on a dictionary small enough that random bytes churn
     /// it constantly, with live sync on — the pipelined stream emits the
-    /// same interleaved event sequence and the same summary as the
-    /// synchronous stream.
+    /// same interleaved event sequence and the same summary as the inline
+    /// stream of an unpipelined engine.
     #[test]
     fn pipelined_equals_engine_stream_under_churn(
         data in proptest::collection::vec(any::<u8>(), 0..600),
@@ -406,19 +386,19 @@ proptest! {
         let spawn = spawn_of(spawn_selector);
         let records: Vec<Vec<u8>> = data.chunks(record_len).map(|c| c.to_vec()).collect();
 
-        let sync = run_sync(
-            engine_for(gd, shards, workers, spawn, depth),
+        let inline = run_pipelined(
+            inline_engine(gd, shards, workers),
             batch_units,
             &records,
             live_sync,
-        ).expect("sync stream");
+        ).expect("inline stream");
         let piped = run_pipelined(
             engine_for(gd, shards, workers, spawn, depth),
             batch_units,
             &records,
             live_sync,
         ).expect("pipelined stream");
-        prop_assert_eq!(piped, sync);
+        prop_assert_eq!(piped, inline);
     }
 
     /// Same equivalence at paper parameters on redundant sensor-style data
@@ -439,18 +419,18 @@ proptest! {
             data.extend_from_slice(&chunk);
         }
         let records = vec![data];
-        let sync = run_sync(
-            engine_for(gd, 8, 4, SpawnPolicy::Auto, depth),
+        let inline = run_pipelined(
+            inline_engine(gd, 8, 4),
             batch_units,
             &records,
             true,
-        ).expect("sync stream");
+        ).expect("inline stream");
         let piped = run_pipelined(
             engine_for(gd, 8, 4, SpawnPolicy::Threads, depth),
             batch_units,
             &records,
             true,
         ).expect("pipelined stream");
-        prop_assert_eq!(piped, sync);
+        prop_assert_eq!(piped, inline);
     }
 }

@@ -216,16 +216,6 @@ impl ServerConfig {
             .store_root(dir)
             .finish_unchecked()
     }
-
-    /// Wraps an explicit host configuration (pipelining promoted, see
-    /// [`Self::host`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ServerConfigBuilder (validated, names every knob); remove in 0.2.0"
-    )]
-    pub fn from_host(host: HostPathConfig) -> Self {
-        ServerConfigBuilder::new().host(host).finish_unchecked()
-    }
 }
 
 /// Validated builder for [`ServerConfig`], mirroring the engine's builder

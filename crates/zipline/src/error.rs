@@ -19,6 +19,9 @@ pub enum ZipLineError {
     MalformedControlMessage(String),
     /// The experiment or deployment configuration is inconsistent.
     InvalidConfig(String),
+    /// An earlier stream failed mid-stream and took the host path's engine
+    /// with it; rebuild the path (a durable one warm-restarts).
+    EngineLost,
 }
 
 impl fmt::Display for ZipLineError {
@@ -32,6 +35,9 @@ impl fmt::Display for ZipLineError {
                 write!(f, "malformed control message: {msg}")
             }
             ZipLineError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            ZipLineError::EngineLost => {
+                write!(f, "engine lost to a stream that failed mid-stream")
+            }
         }
     }
 }
@@ -112,5 +118,9 @@ mod tests {
 
         let e = ZipLineError::InvalidConfig("bad".into());
         assert!(e.to_string().contains("bad"));
+
+        let e = ZipLineError::EngineLost;
+        assert!(e.to_string().contains("engine lost"));
+        assert!(e.source().is_none());
     }
 }

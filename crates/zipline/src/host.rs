@@ -41,27 +41,31 @@
 //! capacity; [`HostPathConfig::live_sync`] turns the live protocol off for
 //! those cases.
 //!
-//! # Synchronous vs pipelined ingest
+//! # Inline vs threaded ingest
 //!
-//! The path offers two push disciplines over the same engine:
+//! [`EngineHostPath::compress_to_frames`] and
+//! [`EngineHostPath::compress_workload_to_frames`] run one
+//! [`PipelinedStream`] over the path's engine per call, with one of two
+//! backings chosen by [`HostPathConfig::pipeline_depth`]:
 //!
-//! * **Synchronous** ([`EngineHostPath::compress_to_frames`] /
-//!   [`EngineHostPath::compress_workload_to_frames`]): every batch
-//!   compresses on the calling thread. Zero setup cost, no extra thread,
-//!   and the right default for request/response-shaped callers,
-//!   single-core hosts, and whenever the producer is the bottleneck anyway.
-//! * **Pipelined** ([`EngineHostPath::compress_to_frames_pipelined`] /
-//!   [`EngineHostPath::compress_workload_to_frames_pipelined`], available
-//!   once [`HostPathConfig::pipeline_depth`] is set): record accumulation
-//!   overlaps with batch compression through [`PipelinedStream`] — a bounded,
-//!   backpressured channel feeding a dedicated engine worker thread, with
-//!   double-buffered, recycled batch buffers. Choose it when ingest is
-//!   continuous (a NIC queue, a trace replay) and the host has cores to
-//!   spare; the emitted frame sequence is **bit-identical** to the
-//!   synchronous path, so the choice is purely a latency/throughput one.
-//!   On a single-core host under [`SpawnPolicy`](zipline_engine::SpawnPolicy)
-//!   `::Auto` the pipelined path degrades to inline execution — same
-//!   bytes, no thread — so it is always safe to enable.
+//! * **Inline** (`None`, the default): every batch compresses on the
+//!   calling thread. Zero setup cost, no extra thread, and the right
+//!   default for request/response-shaped callers, single-core hosts, and
+//!   whenever the producer is the bottleneck anyway.
+//! * **Threaded** (`Some(depth)`): record accumulation overlaps with batch
+//!   compression — a bounded, backpressured channel feeds a dedicated
+//!   engine worker thread, with recycled batch buffers. Choose it when
+//!   ingest is continuous (a NIC queue, a trace replay) and the host has
+//!   cores to spare; the emitted frame sequence is **bit-identical** to the
+//!   inline one, so the choice is purely a latency/throughput one. On a
+//!   single-core host under [`SpawnPolicy`](zipline_engine::SpawnPolicy)
+//!   `::Auto` the stream degrades to inline execution — same bytes, no
+//!   thread — so it is always safe to enable.
+//!
+//! The stream takes the engine for the call and hands it back when it
+//! finishes. A stream that fails *mid-stream* consumes the engine: every
+//! later compress call returns [`ZipLineError::EngineLost`], and the path
+//! must be rebuilt (a durable one warm-restarts from its last commit).
 //!
 //! # Durability and warm restarts
 //!
@@ -93,7 +97,10 @@
 //!   the snapshot path.
 //!
 //! Durability is process-crash-grade (writes reach the OS in commit
-//! order); checkpoint cadence is [`HostPathConfig::checkpoint_cadence`].
+//! order); checkpoint cadence is [`HostPathConfig::checkpoint_cadence`]
+//! (inline streams only: a threaded stream's dictionary lives on its
+//! worker, so its commits carry no checkpoint and recovery folds the delta
+//! log instead).
 //!
 //! [`CompressionEngine`]: zipline_engine::CompressionEngine
 //! [`DictionarySnapshot`]: zipline_engine::DictionarySnapshot
@@ -104,11 +111,11 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 
 use crate::engine_control::{EngineControlPlane, EngineControlStats};
-use crate::error::Result;
+use crate::error::{Result, ZipLineError};
 use zipline_engine::{
     CompressionBackend, CompressionEngine, DictionarySnapshot, DictionaryUpdate, EngineBuilder,
-    EngineConfig, EngineDecompressor, EngineStream, GdBackend, PipelinedStream, StreamSummary,
-    SyncPolicy, WarmStart,
+    EngineConfig, EngineDecompressor, GdBackend, PipelinedStream, StreamSummary, SyncPolicy,
+    WarmStart,
 };
 use zipline_gd::packet::PacketType;
 use zipline_net::ethernet::EthernetFrame;
@@ -140,11 +147,11 @@ pub struct HostPathConfig {
     /// [`EngineHostPath::snapshot`] — only sound while the dictionary never
     /// exceeds capacity.
     pub live_sync: bool,
-    /// Opt-in pipelined ingest: when `Some(depth)`, the engine is built
-    /// with [`EngineBuilder::pipelined`] and the `*_pipelined` push methods
-    /// become available (depth = batches in flight before `push` blocks;
-    /// see the module docs for the decision note). `None` keeps the path
-    /// synchronous-only.
+    /// Opt-in threaded ingest: when `Some(depth)`, the engine is built
+    /// with [`EngineBuilder::pipelined`] and every compress call streams
+    /// through an engine worker thread (depth = batches in flight before
+    /// `push` blocks; see the module docs for the decision note). `None`
+    /// keeps every batch on the calling thread.
     pub pipeline_depth: Option<usize>,
     /// Opt-in durability: when `Some(dir)`, the engine opens (or creates)
     /// a crash-safe store there — an append-only dictionary event log with
@@ -169,7 +176,7 @@ pub struct HostPathConfig {
 
 impl HostPathConfig {
     /// Paper GD parameters, 8 shards, 4 workers, 256-chunk batches, live
-    /// decoder sync, synchronous ingest.
+    /// decoder sync, inline ingest.
     pub fn paper_default() -> Self {
         Self {
             engine: EngineConfig::paper_default(),
@@ -185,7 +192,7 @@ impl HostPathConfig {
         }
     }
 
-    /// `paper_default` with pipelined ingest at `depth` batches in flight.
+    /// `paper_default` with threaded ingest at `depth` batches in flight.
     pub fn pipelined(depth: usize) -> Self {
         Self {
             pipeline_depth: Some(depth),
@@ -226,9 +233,9 @@ impl HostPathConfig {
 /// decoder live-synced). Generic over the engine's
 /// [`CompressionBackend`]; see the module docs.
 pub struct EngineHostPath<B: CompressionBackend = GdBackend> {
-    /// `None` only transiently, while a pipelined stream owns the engine
-    /// (and permanently if such a stream fails — see
-    /// [`Self::pipelined_via`]).
+    /// `None` only transiently, while a stream owns the engine (and
+    /// permanently once a stream fails mid-stream — see
+    /// [`Self::compress_via`]).
     engine: Option<CompressionEngine<B>>,
     control: EngineControlPlane,
     config: HostPathConfig,
@@ -332,16 +339,23 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     }
 
     /// The underlying engine (statistics, snapshot, dictionary).
+    ///
+    /// # Panics
+    ///
+    /// When a failed stream consumed the engine (see
+    /// [`Self::compress_to_frames`]).
     pub fn engine(&self) -> &CompressionEngine<B> {
         self.engine
             .as_ref()
-            .expect("engine lost to a failed pipelined stream")
+            .expect("engine lost to a stream that failed mid-stream")
     }
 
     /// The mirrored decompressor for the frames this path emits (feed it
-    /// the received payloads in order).
+    /// the received payloads in order). [`ZipLineError::EngineLost`] once a
+    /// failed stream consumed the engine.
     pub fn decompressor(&self) -> Result<EngineDecompressor<B>> {
-        Ok(self.engine().decompressor()?)
+        let engine = self.engine.as_ref().ok_or(ZipLineError::EngineLost)?;
+        Ok(engine.decompressor()?)
     }
 
     /// Control-plane counters of the live sync protocol.
@@ -354,10 +368,17 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     pub fn handle_ack(&mut self, id: u64, nonce: u32) -> bool {
         self.control.handle_ack(id, nonce)
     }
+}
 
+impl<B: CompressionBackend + Send + 'static> EngineHostPath<B> {
     /// Compresses a buffer into wire-ready Ethernet frames (one frame per
     /// stream record, plus interleaved control frames under live sync) and
-    /// the stream totals.
+    /// the stream totals, inline or threaded per
+    /// [`HostPathConfig::pipeline_depth`].
+    ///
+    /// A failure *mid-stream* consumes the engine: this call returns the
+    /// failure, and every later compress call returns
+    /// [`ZipLineError::EngineLost`].
     pub fn compress_to_frames(
         &mut self,
         data: &[u8],
@@ -366,7 +387,13 @@ impl<B: CompressionBackend> EngineHostPath<B> {
     }
 
     /// Compresses every chunk of a workload generator into frames, feeding
-    /// the engine through the streaming API.
+    /// the engine through the streaming API; threaded, the workload
+    /// iterator runs on the calling thread while batches compress on the
+    /// engine worker.
+    ///
+    /// A failure *mid-stream* consumes the engine: this call returns the
+    /// failure, and every later compress call returns
+    /// [`ZipLineError::EngineLost`].
     pub fn compress_workload_to_frames(
         &mut self,
         workload: &dyn ChunkWorkload,
@@ -374,14 +401,18 @@ impl<B: CompressionBackend> EngineHostPath<B> {
         self.compress_via(|stream| stream.consume_workload(workload))
     }
 
-    /// Shared frame-building stream harness: sets up the engine stream with
-    /// a sink that wraps every payload in an Ethernet frame (and, under live
-    /// sync, a control sink that interleaves install/remove frames at their
-    /// journal positions), runs `feed`, and collects the summary.
+    /// Shared frame-building stream harness: moves the engine into a
+    /// [`PipelinedStream`] for the call, with a sink that wraps every
+    /// payload in an Ethernet frame (and, under live sync, a control sink
+    /// that interleaves install/remove frames at their journal positions),
+    /// runs `feed`, and restores the engine when the stream finishes. Both
+    /// sinks run on the calling thread. If the stream fails, the engine is
+    /// lost with it — acceptable because such a failure leaves the
+    /// compressor/decoder pair out of sync anyway.
     fn compress_via(
         &mut self,
         feed: impl FnOnce(
-            &mut EngineStream<'_, FrameSink<'_>, ControlSink<'_>, B>,
+            &mut PipelinedStream<FrameSink<'_>, ControlSink<'_>, B>,
         ) -> std::result::Result<(), zipline_engine::EngineError>,
     ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
         // Both sinks push into one ordered frame sequence; the RefCell lets
@@ -395,86 +426,7 @@ impl<B: CompressionBackend> EngineHostPath<B> {
             config,
             ..
         } = self;
-        let engine = engine
-            .as_mut()
-            .expect("engine lost to a failed pipelined stream");
-        let sink: FrameSink<'_> = Box::new(|pt, bytes| {
-            let ethertype = pt.ethertype().unwrap_or(raw_ethertype);
-            frames
-                .borrow_mut()
-                .push(EthernetFrame::new(dst, src, ethertype, bytes.to_vec()));
-        });
-        let control_sink: Option<ControlSink<'_>> = config.live_sync.then(|| {
-            Box::new(|update: &DictionaryUpdate| {
-                control.push_frames_for(update, src, dst, &mut frames.borrow_mut());
-            }) as ControlSink<'_>
-        });
-        let mut stream =
-            EngineStream::with_control_sink(engine, config.batch_chunks, sink, control_sink);
-        feed(&mut stream)?;
-        let summary = stream.finish()?;
-        Ok((frames.into_inner(), summary))
-    }
-}
-
-impl<B: CompressionBackend + Send + 'static> EngineHostPath<B> {
-    /// [`Self::compress_to_frames`] over the pipelined ingest path: record
-    /// accumulation overlaps with compression on a dedicated engine worker
-    /// (see the module docs' decision note). Emits the **bit-identical**
-    /// frame sequence. Requires [`HostPathConfig::pipeline_depth`].
-    pub fn compress_to_frames_pipelined(
-        &mut self,
-        data: &[u8],
-    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
-        self.pipelined_via(|stream| stream.push_record(data))
-    }
-
-    /// [`Self::compress_workload_to_frames`] over the pipelined ingest
-    /// path; the workload iterator runs on the calling thread while batches
-    /// compress on the engine worker — the producer-consumer overlap the
-    /// pipeline exists for.
-    pub fn compress_workload_to_frames_pipelined(
-        &mut self,
-        workload: &dyn ChunkWorkload,
-    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
-        self.pipelined_via(|stream| stream.consume_workload(workload))
-    }
-
-    /// Pipelined sibling of [`Self::compress_via`]: identical sinks and
-    /// frame assembly, but the engine moves into a
-    /// [`PipelinedStream`](zipline_engine::PipelinedStream) for the call
-    /// (both sinks still run on the calling thread) and is restored when
-    /// the stream finishes. If the stream fails *mid-stream*, the engine is
-    /// lost with it — acceptable because such a failure leaves the
-    /// compressor/decoder pair out of sync anyway. A configuration error
-    /// (the path was built without [`HostPathConfig::pipeline_depth`]) is
-    /// caught *before* the engine moves, so it never costs the engine.
-    fn pipelined_via(
-        &mut self,
-        feed: impl FnOnce(
-            &mut PipelinedStream<FrameSink<'_>, ControlSink<'_>, B>,
-        ) -> std::result::Result<(), zipline_engine::EngineError>,
-    ) -> Result<(Vec<EthernetFrame>, StreamSummary)> {
-        if self.config.pipeline_depth.is_none() {
-            return Err(zipline_gd::error::GdError::InvalidConfig(
-                "host path was not configured for pipelined ingest; \
-                 set HostPathConfig::pipeline_depth"
-                    .into(),
-            )
-            .into());
-        }
-        let frames: RefCell<Vec<EthernetFrame>> = RefCell::new(Vec::new());
-        let (src, dst, raw_ethertype) =
-            (self.config.src, self.config.dst, self.config.raw_ethertype);
-        let Self {
-            engine,
-            control,
-            config,
-            ..
-        } = self;
-        let owned_engine = engine
-            .take()
-            .expect("engine lost to a failed pipelined stream");
+        let owned_engine = engine.take().ok_or(ZipLineError::EngineLost)?;
         let sink: FrameSink<'_> = Box::new(|pt, bytes| {
             let ethertype = pt.ethertype().unwrap_or(raw_ethertype);
             frames
@@ -722,11 +674,12 @@ mod tests {
         assert_eq!(outcome.decoder_stats.decode_failures, 0);
     }
 
-    // ---- pipelined ingest through the host path (ISSUE 5) ----------------
+    // ---- pipelined ingest through the host path ---------------------------
 
-    /// The pipelined push path emits the bit-identical frame sequence —
-    /// payload frames *and* interleaved control frames — on the churn-heavy
-    /// live-sync workload, for every spawn policy and several depths.
+    /// A pipelined host path emits the bit-identical frame sequence to the
+    /// inline one — payload frames *and* interleaved control frames — on
+    /// the churn-heavy live-sync workload, for every spawn policy and
+    /// several depths.
     #[test]
     fn pipelined_frames_are_bit_identical_to_synchronous() {
         let sync_config = churny_config(true);
@@ -746,9 +699,7 @@ mod tests {
                     ..sync_config.clone()
                 };
                 let mut host = EngineHostPath::new(config).unwrap();
-                let (frames, summary) = host
-                    .compress_workload_to_frames_pipelined(&workload)
-                    .unwrap();
+                let (frames, summary) = host.compress_workload_to_frames(&workload).unwrap();
                 assert_eq!(
                     frames, sync_frames,
                     "spawn = {spawn:?}, depth = {depth}: frame sequences diverge"
@@ -769,7 +720,7 @@ mod tests {
         };
         let mut host = EngineHostPath::new(config.clone()).unwrap();
         let data = churn_workload(&config).bytes();
-        let (frames, _) = host.compress_to_frames_pipelined(&data).unwrap();
+        let (frames, _) = host.compress_to_frames(&data).unwrap();
         assert!(host.engine().stats().evictions > 0, "workload churns");
 
         let mut deployment = ZipLineDeployment::new(DeploymentConfig {
@@ -849,45 +800,115 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The host path survives alternating pipelined and synchronous pushes:
-    /// the engine (dictionary state included) is handed back after every
-    /// pipelined stream, so the combined frame sequence still decodes.
+    /// The host path survives alternating pipelined (threaded) and
+    /// synchronous (inline) pushes: the engine (dictionary state included)
+    /// is handed back after every stream, so the combined frame sequence
+    /// still decodes.
     #[test]
     fn pipelined_and_synchronous_pushes_interleave_on_one_engine() {
-        let config = HostPathConfig {
-            pipeline_depth: Some(1),
-            ..HostPathConfig::paper_default()
-        };
-        let mut host = EngineHostPath::new(config).unwrap();
+        let mut host = EngineHostPath::new(HostPathConfig::paper_default()).unwrap();
         let mut decoder = ZipLineDecodeProgram::new(DecoderConfig::paper_default()).unwrap();
         let mut all_data = Vec::new();
         let mut restored = Vec::new();
         for round in 0..4u8 {
+            let pipeline = (round % 2 == 0).then_some(zipline_engine::PipelineConfig {
+                depth: 1,
+                spawn: SpawnPolicy::Threads,
+            });
+            host.engine.as_mut().unwrap().set_pipeline(pipeline);
             let data = sensor_style_data(40 + round as u32);
-            let (frames, _) = if round % 2 == 0 {
-                host.compress_to_frames_pipelined(&data).unwrap()
-            } else {
-                host.compress_to_frames(&data).unwrap()
-            };
+            let (frames, _) = host.compress_to_frames(&data).unwrap();
             restored.extend_from_slice(&decode_frames(&mut decoder, frames));
             all_data.extend_from_slice(&data);
         }
         assert_eq!(restored, all_data);
         assert_eq!(decoder.stats().decode_failures, 0);
+        assert_eq!(host.engine().stats().bases_learned, 5, "one dictionary");
     }
 
-    /// Calling a `*_pipelined` method on a host built without
-    /// `pipeline_depth` errors cleanly — and must NOT poison the engine:
-    /// the synchronous path keeps working afterwards.
+    /// Passthrough that fails its third batch: a mid-stream failure.
+    #[derive(Debug, Default)]
+    struct FailingBackend {
+        batches: usize,
+    }
+
+    impl CompressionBackend for FailingBackend {
+        type Batch = Vec<u8>;
+        type Decompressor = zipline_engine::PassthroughDecompressor;
+
+        fn from_engine_config(_config: &EngineConfig) -> zipline_gd::error::Result<Self> {
+            Ok(Self::default())
+        }
+
+        fn codec_id(&self) -> zipline_engine::CodecId {
+            zipline_engine::CODEC_PASSTHROUGH
+        }
+
+        fn unit_bytes(&self) -> usize {
+            1
+        }
+
+        fn compress_batch(&mut self, data: &[u8]) -> zipline_gd::error::Result<Self::Batch> {
+            self.batches += 1;
+            if self.batches == 3 {
+                return Err(zipline_gd::error::GdError::InvalidConfig(
+                    "synthetic mid-stream failure".into(),
+                ));
+            }
+            Ok(data.to_vec())
+        }
+
+        fn emit_batch(
+            &mut self,
+            batch: Self::Batch,
+            emit: &mut dyn FnMut(zipline_gd::packet::PacketType, &[u8]),
+        ) -> zipline_gd::error::Result<()> {
+            emit(zipline_gd::packet::PacketType::Raw, &batch);
+            Ok(())
+        }
+
+        fn stats(&self) -> zipline_gd::stats::CompressionStats {
+            zipline_gd::stats::CompressionStats::new()
+        }
+
+        fn decompressor(&self) -> zipline_gd::error::Result<Self::Decompressor> {
+            Ok(Default::default())
+        }
+    }
+
+    /// A stream that fails mid-stream consumes the engine; every later
+    /// call on the path returns the typed `EngineLost` instead of
+    /// panicking, inline and threaded alike.
     #[test]
-    fn unpipelined_host_rejects_pipelined_push_without_losing_the_engine() {
-        let mut host = EngineHostPath::new(HostPathConfig::paper_default()).unwrap();
-        let data = sensor_style_data(20);
-        assert!(host.compress_to_frames_pipelined(&data).is_err());
-        // The engine survived: the synchronous path still compresses.
-        let (frames, summary) = host.compress_to_frames(&data).unwrap();
-        assert!(!frames.is_empty());
-        assert_eq!(summary.bytes_in, data.len() as u64);
+    fn failed_stream_loses_the_engine_and_later_calls_say_so() {
+        for pipeline_depth in [None, Some(1)] {
+            let config = HostPathConfig {
+                batch_chunks: 64,
+                pipeline_depth,
+                engine: EngineConfig {
+                    spawn: SpawnPolicy::Threads,
+                    ..HostPathConfig::paper_default().engine
+                },
+                ..HostPathConfig::paper_default()
+            };
+            let mut host = EngineHostPath::with_backend(config, FailingBackend::default()).unwrap();
+            let data = [0x5Au8; 64 * 4];
+            let err = host.compress_to_frames(&data).unwrap_err();
+            assert!(
+                err.to_string().contains("synthetic mid-stream failure"),
+                "depth {pipeline_depth:?}: the first call reports the failure, got {err}"
+            );
+            assert!(matches!(
+                host.compress_to_frames(&data),
+                Err(ZipLineError::EngineLost)
+            ));
+            let workload = SensorWorkload::new(SensorWorkloadConfig::small());
+            assert!(matches!(
+                host.compress_workload_to_frames(&workload),
+                Err(ZipLineError::EngineLost)
+            ));
+            assert!(matches!(host.decompressor(), Err(ZipLineError::EngineLost)));
+        }
     }
 
     // ---- non-GD backends through the same host path (ISSUE 4) ------------
@@ -974,9 +995,7 @@ mod tests {
         };
         let mut host = EngineHostPath::with_backend(config, DeflateBackend::default()).unwrap();
         let workload = SensorWorkload::new(SensorWorkloadConfig::small());
-        let (frames, summary) = host
-            .compress_workload_to_frames_pipelined(&workload)
-            .unwrap();
+        let (frames, summary) = host.compress_workload_to_frames(&workload).unwrap();
         let data: Vec<u8> = workload.chunks().flatten().collect();
         assert_eq!(summary.bytes_in, data.len() as u64);
         assert!(summary.wire_bytes < data.len() as u64, "gzip compresses");

@@ -271,8 +271,8 @@ mod recovery_injection {
     use std::path::{Path, PathBuf};
 
     use zipline_repro::zipline_engine::{
-        CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStore,
-        EngineStream, GdBackend, ShardedDictionary, SpawnPolicy, WarmStart,
+        CommittedEntry, CompressionEngine, DictionaryUpdate, EngineBuilder, EngineStore, GdBackend,
+        PipelinedStream, ShardedDictionary, SpawnPolicy, WarmStart,
     };
     use zipline_repro::zipline_gd::config::GdConfig;
     use zipline_repro::zipline_gd::packet::PacketType;
@@ -312,16 +312,14 @@ mod recovery_injection {
     /// without `finish` — both logs keep their full journals, no
     /// compaction. Returns the wire events the doomed stream emitted.
     fn seed_store(dir: &Path, cadence: u64, data: &[u8]) -> Vec<CommittedEntry> {
-        let mut engine: CompressionEngine<GdBackend> = builder(dir, cadence).build().unwrap();
-        let events = run_stream(&mut engine, data, false);
-        drop(engine);
-        events
+        run_stream(builder(dir, cadence).build().unwrap(), data, false)
     }
 
-    /// Feeds `data` through an 8-chunk-batch stream collecting the sinks'
-    /// events in [`CommittedEntry`] shape; `finish` completes or kills it.
+    /// Feeds `data` through an 8-chunk-batch inline stream collecting the
+    /// sinks' events in [`CommittedEntry`] shape; `finish` completes or
+    /// kills it (and the engine with it).
     fn run_stream(
-        engine: &mut CompressionEngine<GdBackend>,
+        engine: CompressionEngine<GdBackend>,
         data: &[u8],
         finish: bool,
     ) -> Vec<CommittedEntry> {
@@ -338,7 +336,7 @@ mod recovery_injection {
                 .borrow_mut()
                 .push(CommittedEntry::Control(update.clone()));
         });
-        let mut stream = EngineStream::with_control_sink(engine, 8, sink, control_sink);
+        let mut stream = PipelinedStream::with_control_sink(engine, 8, sink, control_sink).unwrap();
         stream.push_record(data).unwrap();
         if finish {
             stream.finish().unwrap();
@@ -488,7 +486,7 @@ mod recovery_injection {
         let cut = 6 * batch_bytes; // kill after 6 whole batches
         assert!(cut < data.len());
 
-        let mut plain: CompressionEngine<GdBackend> = EngineBuilder::new()
+        let plain: CompressionEngine<GdBackend> = EngineBuilder::new()
             .gd(GdConfig::for_parameters(8, 4).unwrap())
             .shards(2)
             .workers(1)
@@ -496,7 +494,7 @@ mod recovery_injection {
             .live_sync(true)
             .build()
             .unwrap();
-        let reference = run_stream(&mut plain, &data, true);
+        let reference = run_stream(plain, &data, true);
 
         // Checkpoints every 4 batches: the kill point sits past the last
         // checkpoint, so recovery *must* fold deltas (not bit-exact
@@ -513,7 +511,7 @@ mod recovery_injection {
         );
         assert_eq!(warm.committed, emitted);
         let mut rejoined = warm.committed;
-        rejoined.extend(run_stream(&mut engine, &data[cut..], true));
+        rejoined.extend(run_stream(engine, &data[cut..], true));
         assert_eq!(
             rejoined, reference,
             "folded recovery must resume bit-identically"

@@ -7,10 +7,31 @@
 
 use zipline_repro::zipline::deployment::{DeploymentConfig, ZipLineDeployment};
 use zipline_repro::zipline_engine::{
-    DeflateBackend, EngineBuilder, EngineStream, PassthroughBackend, SpawnPolicy,
+    CompressionBackend, CompressionEngine, DeflateBackend, EngineBuilder, PassthroughBackend,
+    PipelinedStream, SpawnPolicy, StreamSummary,
 };
 use zipline_repro::zipline_gd::codec::{compress, decompress};
+use zipline_repro::zipline_gd::packet::PacketType;
 use zipline_repro::zipline_gd::GdConfig;
+
+/// Streams `data` through `engine` in 32-byte records, returning the wire
+/// payloads and the stream totals.
+fn stream_wire<B: CompressionBackend + Send + 'static>(
+    engine: CompressionEngine<B>,
+    batch_units: usize,
+    data: &[u8],
+) -> (Vec<(PacketType, Vec<u8>)>, StreamSummary) {
+    let mut wire = Vec::new();
+    let mut stream = PipelinedStream::new(engine, batch_units, |packet_type, bytes: &[u8]| {
+        wire.push((packet_type, bytes.to_vec()));
+    })
+    .expect("stream starts");
+    for chunk in data.chunks(32) {
+        stream.push_record(chunk).expect("record streams");
+    }
+    let (_engine, summary) = stream.finish().expect("stream flushes");
+    (wire, summary)
+}
 
 fn sensor_style_data(chunks: u32) -> Vec<u8> {
     let mut data = Vec::new();
@@ -58,17 +79,10 @@ fn engine_stream_flow_compresses_and_round_trips() {
         .workers(4)
         .spawn(SpawnPolicy::Threads); // exercise the threaded path in CI
     let mut decoder = builder.build_decompressor().expect("valid decoder config");
-    let mut engine = builder.build().expect("valid engine config");
+    let engine = builder.build().expect("valid engine config");
     let data = sensor_style_data(300);
 
-    let mut wire = Vec::new();
-    let mut stream = EngineStream::new(&mut engine, 64, |packet_type, bytes| {
-        wire.push((packet_type, bytes.to_vec()));
-    });
-    for chunk in data.chunks(32) {
-        stream.push_record(chunk).expect("record streams");
-    }
-    let summary = stream.finish().expect("stream flushes");
+    let (wire, summary) = stream_wire(engine, 64, &data);
     assert_eq!(summary.bytes_in, data.len() as u64);
     assert!(
         summary.wire_bytes < data.len() as u64 / 2,
@@ -86,69 +100,42 @@ fn engine_stream_flow_compresses_and_round_trips() {
 
 #[test]
 fn pipelined_ingest_flow_matches_the_synchronous_stream() {
-    // The pipelined_ingest example flow at reduced scale: the asynchronous
-    // ingest stream (worker forced on to exercise the threaded path in CI)
-    // emits bit-identical wire output to the synchronous stream.
-    use zipline_repro::zipline_engine::PipelinedStream;
+    // The pipelined_ingest example flow at reduced scale: the threaded
+    // stream (worker forced on to exercise the threaded path in CI) emits
+    // bit-identical wire output to the inline stream of an unpipelined
+    // engine.
     let data = sensor_style_data(300);
+    let builder = || {
+        EngineBuilder::new()
+            .shards(8)
+            .workers(4)
+            .spawn(SpawnPolicy::Threads)
+    };
+    let (inline_wire, inline_summary) =
+        stream_wire(builder().build().expect("valid engine config"), 64, &data);
 
-    let mut sync_engine = EngineBuilder::new()
-        .shards(8)
-        .workers(4)
-        .spawn(SpawnPolicy::Threads)
-        .build()
-        .expect("valid engine config");
-    let mut sync_wire = Vec::new();
-    let mut sync_stream = EngineStream::new(&mut sync_engine, 64, |packet_type, bytes| {
-        sync_wire.push((packet_type, bytes.to_vec()));
-    });
-    for chunk in data.chunks(32) {
-        sync_stream.push_record(chunk).expect("record streams");
-    }
-    sync_stream.finish().expect("stream flushes");
-
-    let piped_engine = EngineBuilder::new()
-        .shards(8)
-        .workers(4)
-        .spawn(SpawnPolicy::Threads)
-        .pipelined(2)
-        .build()
-        .expect("valid engine config");
-    let mut piped_wire = Vec::new();
-    let mut piped_stream = PipelinedStream::new(piped_engine, 64, |packet_type, bytes: &[u8]| {
-        piped_wire.push((packet_type, bytes.to_vec()));
-    })
-    .expect("engine is pipelined");
-    assert!(piped_stream.is_threaded(), "worker forced on");
-    for chunk in data.chunks(32) {
-        piped_stream.push_record(chunk).expect("record streams");
-    }
-    let (engine, summary) = piped_stream.finish().expect("stream flushes");
-    assert_eq!(piped_wire, sync_wire, "pipelined output is bit-identical");
+    let piped_engine = builder().pipelined(2).build().expect("valid engine config");
+    let (piped_wire, summary) = stream_wire(piped_engine, 64, &data);
+    assert_eq!(piped_wire, inline_wire, "pipelined output is bit-identical");
+    assert_eq!(summary, inline_summary);
     assert_eq!(summary.bytes_in, data.len() as u64);
-    assert!(engine.stats().is_consistent());
 }
 
 #[test]
 fn backend_matrix_flow_compresses_and_round_trips() {
     // The engine_backends example flow at reduced scale: the same generic
-    // EngineStream drives GD, deflate and passthrough over one workload,
+    // stream drives GD, deflate and passthrough over one workload,
     // each restoring byte-exactly through its mirrored decompressor, with
     // passthrough as the ratio floor.
     let data = sensor_style_data(200);
 
-    fn stream_through<B: zipline_repro::zipline_engine::CompressionBackend>(
-        mut engine: zipline_repro::zipline_engine::CompressionEngine<B>,
+    fn stream_through<B: CompressionBackend + Send + 'static>(
+        engine: CompressionEngine<B>,
         mut decoder: zipline_repro::zipline_engine::EngineDecompressor<B>,
         batch_units: usize,
         data: &[u8],
     ) -> u64 {
-        let mut wire = Vec::new();
-        let mut stream = EngineStream::new(&mut engine, batch_units, |pt, bytes: &[u8]| {
-            wire.push((pt, bytes.to_vec()));
-        });
-        stream.push_record(data).expect("record streams");
-        let summary = stream.finish().expect("stream flushes");
+        let (wire, summary) = stream_wire(engine, batch_units, data);
         let mut restored = Vec::new();
         for (pt, bytes) in &wire {
             decoder
