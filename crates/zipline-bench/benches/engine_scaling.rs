@@ -1,21 +1,32 @@
-//! PR-2 scaling bench: the sharded `zipline-engine` against the
+//! Scaling bench: the sharded `zipline-engine` against the
 //! single-threaded `GdCompressor::compress_batch` baseline on the 9000 B
 //! stream workload (one jumbo frame's worth of sensor-style chunks — the
 //! same workload as `stream_compressor_9000B` in `switch_throughput.rs`).
 //!
-//! Grid: 1/2/4/8 workers × 1/4/16 dictionary shards, plus the batch-decode
-//! group for the symmetric `decompress_batch` path. The engine runs under
-//! [`SpawnPolicy::Auto`], so on a multi-core host the worker axis adds real
-//! threads while on a single-core host (such as the CI container) it
-//! measures the partitioned inline path — either way the sharded dictionary
-//! and cached basis hash carry the chunk throughput. Snapshots are committed
-//! as `BENCH_PR2.json` (regenerate with
-//! `BENCH_JSON=bench.jsonl cargo bench -p zipline-bench --bench engine_scaling`).
+//! Grid: 1/2/4/8 workers × 1/4/16 dictionary shards under
+//! [`SpawnPolicy::Auto`]. Auto fans a batch out only at 131 072 chunks per
+//! thread or more, so the grid's 281-chunk batch runs the fused inline pass
+//! on any host: the worker axis must not move the medians, and the sharded
+//! dictionary and cached basis hash carry the chunk throughput.
+//!
+//! Two more sets of ids, on the paper's sensor trace with 8 shards:
+//! - `served_256_w4_s8/{auto,inline}`: the server's batch shape (256
+//!   chunks, 4 workers). Both measure the same inline pass, since Auto
+//!   runs a batch this small on the calling thread.
+//! - `sweep_{4096,65536}_s8/{threads_w2,inline}`: two threads against the
+//!   inline pass, the evidence behind Auto's threshold.
+//!
+//! The batch-decode group covers the symmetric `decompress_batch` path.
+//! Baselines: `BENCH_PR4.json` (grid, 1 core) and `BENCH_PR14.json` (served
+//! and sweep ids, 2 cores). Regenerate with
+//! `BENCH_JSON=bench.jsonl cargo bench -p zipline-bench --bench engine_scaling`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use zipline_engine::{CompressionEngine, EngineConfig, EngineDecompressor, SpawnPolicy};
 use zipline_gd::{GdCompressor, GdConfig, GdDecompressor};
+use zipline_traces::sensor::{SensorWorkload, SensorWorkloadConfig};
+use zipline_traces::ChunkWorkload;
 
 /// One jumbo frame's worth of sensor-style chunks (matches the
 /// `stream_compressor_9000B` workload of the PR-1 bench).
@@ -62,6 +73,62 @@ fn bench_engine_scaling(c: &mut Criterion) {
                 &config,
                 |b, _| b.iter(|| black_box(engine.compress_batch(black_box(&data)).unwrap())),
             );
+        }
+    }
+    group.finish();
+}
+
+/// The first `chunks` chunks of the paper's sensor trace, as one batch.
+fn sensor_batch(chunks: usize) -> Vec<u8> {
+    SensorWorkload::new(SensorWorkloadConfig {
+        chunks,
+        ..SensorWorkloadConfig::paper_scale()
+    })
+    .chunks()
+    .flatten()
+    .collect()
+}
+
+/// Steady-state compression of one sensor batch on 8 shards.
+fn bench_sensor_batch(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    id: BenchmarkId,
+    data: &[u8],
+    workers: usize,
+    spawn: SpawnPolicy,
+) {
+    let config = EngineConfig {
+        gd: GdConfig::paper_default(),
+        shards: 8,
+        workers,
+        spawn,
+    };
+    let mut engine = CompressionEngine::new(config).unwrap();
+    group.throughput(Throughput::Bytes(data.len() as u64));
+    group.bench_function(id, |b| {
+        b.iter(|| black_box(engine.compress_batch(black_box(data)).unwrap()))
+    });
+}
+
+/// The server's batch shape (256 chunks, paper config `w4`/`s8`) under
+/// `Auto` and `Inline` — the same inline pass on any host, because `Auto`
+/// runs a batch this small on the calling thread — and the size sweep
+/// behind `Auto`'s fan-out threshold: two threads against the inline pass.
+fn bench_spawn_threshold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_scaling");
+    let served = sensor_batch(256);
+    for (name, spawn) in [("auto", SpawnPolicy::Auto), ("inline", SpawnPolicy::Inline)] {
+        let id = BenchmarkId::new("served_256_w4_s8", name);
+        bench_sensor_batch(&mut group, id, &served, 4, spawn);
+    }
+    for chunks in [4096usize, 65_536] {
+        let data = sensor_batch(chunks);
+        for (name, workers, spawn) in [
+            ("threads_w2", 2, SpawnPolicy::Threads),
+            ("inline", 1, SpawnPolicy::Inline),
+        ] {
+            let id = BenchmarkId::new(format!("sweep_{chunks}_s8"), name);
+            bench_sensor_batch(&mut group, id, &data, workers, spawn);
         }
     }
     group.finish();
@@ -116,5 +183,10 @@ fn bench_batch_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_engine_scaling, bench_batch_decode);
+criterion_group!(
+    benches,
+    bench_engine_scaling,
+    bench_spawn_threshold,
+    bench_batch_decode
+);
 criterion_main!(benches);

@@ -302,6 +302,7 @@ mod tests {
             ("BENCH_PR7.json", include_str!("../../../BENCH_PR7.json")),
             ("BENCH_PR9.json", include_str!("../../../BENCH_PR9.json")),
             ("BENCH_PR10.json", include_str!("../../../BENCH_PR10.json")),
+            ("BENCH_PR14.json", include_str!("../../../BENCH_PR14.json")),
         ] {
             let pr = pr_number(name).unwrap();
             set.absorb(name, pr, text);
@@ -312,6 +313,8 @@ mod tests {
         // the authority.
         let (_, source) = set.lookup("engine_scaling/engine_w4/s16").unwrap();
         assert_eq!(source, "BENCH_PR4.json");
+        let (_, source) = set.lookup("engine_scaling/served_256_w4_s8/auto").unwrap();
+        assert_eq!(source, "BENCH_PR14.json");
     }
 
     #[test]

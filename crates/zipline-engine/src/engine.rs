@@ -25,13 +25,16 @@
 //! bit for bit (both properties are enforced by `tests/engine_equivalence.rs`,
 //! including across the [`CompressionBackend`] trait boundary).
 //!
-//! Threads come from a fixed pool of `std::thread` scoped workers (the build
-//! environment has no crates.io access, so no rayon); each worker owns its
-//! scratch buffers across batches. With [`SpawnPolicy::Auto`] the engine
-//! falls back to inline execution when the host has a single core or the
-//! batch is too small to amortize thread handoff — worker count then only
-//! controls partitioning, keeping output deterministic while never
-//! oversubscribing the machine.
+//! A batch that fans out runs its partitions on `std::thread::scope`
+//! threads spawned for that batch and joined before it returns (the build
+//! environment has no crates.io access, so no rayon); the calling thread
+//! runs one partition itself, so each phase spawns `threads - 1` threads.
+//! Each logical worker owns its scratch buffers across batches. Spawning
+//! per batch only pays on huge batches: under the default
+//! [`SpawnPolicy::Auto`] a batch fans out only when every thread gets at
+//! least 131 072 chunks, so the server's batches, and every batch a bench
+//! compresses under `Auto`, run inline on the calling thread — for a
+//! pipelined stream, its own worker — with no spawn at all.
 //!
 //! Construction goes through [`EngineBuilder`](crate::EngineBuilder), which
 //! validates the whole shape once at `build()`; `CompressionEngine::new` and
@@ -53,19 +56,49 @@ use zipline_gd::error::{GdError, Result};
 use zipline_gd::packet::{PacketType, ZipLinePayload};
 use zipline_gd::stats::CompressionStats;
 
+/// Chunks each thread must get before [`SpawnPolicy::Auto`] fans a batch
+/// out: above every size at which fan-out was measured (see there).
+const AUTO_MIN_CHUNKS_PER_THREAD: usize = 131_072;
+
+/// Host parallelism, probed once per process:
+/// `std::thread::available_parallelism` reads cgroup files on Linux
+/// (~14 µs), which would otherwise tax every engine build and every
+/// short-lived stream under [`SpawnPolicy::Auto`].
+pub(crate) fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
 /// How the engine maps logical workers onto OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpawnPolicy {
-    /// Spawn threads only when the host has more than one core and the
-    /// batch is large enough to amortize the handoff; otherwise run the
-    /// partitions inline on the calling thread. The default.
+    /// Fan a batch out over `min(workers, host cores, chunks / 131 072)`
+    /// threads; with fewer than two, run it inline on the calling thread.
+    /// The default.
+    ///
+    /// The threshold is measured, not guessed. On a 2-core host (8 shards,
+    /// the paper's sensor trace, steady state) two threads lost to the
+    /// fused inline pass at every batch size tried, from 256 chunks
+    /// (135 µs against 47 µs) through 65 536 (23.1 ms against 18.7 ms) to
+    /// 262 144 (about 100 ms against 65 ms): the spawns, the encode buffer
+    /// between the two phases and the reorder cost more than the second
+    /// core returns. So a batch fans out only at or above 131 072 chunks
+    /// per thread, the largest per-thread size measured; the server's
+    /// 256-chunk batches, and every batch the tracked benches compress
+    /// under `Auto`, run inline on any host. `engine_scaling`'s `sweep_*`
+    /// ids re-measure the comparison.
     #[default]
     Auto,
     /// Never spawn; all partitions run inline. Worker count still controls
     /// partitioning, so output is unchanged.
     Inline,
-    /// Always spawn one thread per worker (used by tests to exercise the
-    /// threaded path regardless of host parallelism).
+    /// Always fan out over one thread per worker (capped at one chunk per
+    /// thread), the calling thread among them; used by tests and benches
+    /// to exercise the threaded path regardless of host parallelism.
     Threads,
 }
 
@@ -79,7 +112,10 @@ pub struct EngineConfig {
     pub gd: GdConfig,
     /// Dictionary shard count: a power of two dividing `2^id_bits`.
     pub shards: usize,
-    /// Logical worker count (also the partition count of a batch).
+    /// Logical worker count: the partition count of a batch that fans out,
+    /// and the most threads it uses. Under [`SpawnPolicy::Auto`] a batch
+    /// fans out only at 131 072 chunks per thread or more, so for ordinary
+    /// batch sizes this sets no thread count at all.
     pub workers: usize,
     /// Thread spawn policy.
     pub spawn: SpawnPolicy,
@@ -156,9 +192,8 @@ pub struct GdBackend {
     inline_slot: EncodedChunk,
     /// Recycled wire serialization buffer for `emit_batch`.
     wire_scratch: Vec<u8>,
-    /// Host parallelism, queried once at construction —
-    /// `std::thread::available_parallelism` reads cgroup files on Linux and
-    /// is far too slow to call per batch.
+    /// Host parallelism ([`host_cores`]); a field so tests can pose as
+    /// hosts of any size.
     cores: usize,
 }
 
@@ -178,9 +213,7 @@ impl GdBackend {
             per_shard_records: vec![Vec::new(); config.shards],
             inline_slot: EncodedChunk::default(),
             wire_scratch: Vec::new(),
-            cores: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+            cores: host_cores(),
             config,
         })
     }
@@ -209,23 +242,16 @@ impl GdBackend {
         self.dict.snapshot()
     }
 
-    /// Number of OS threads a batch of `n_chunks` will use.
+    /// Number of threads a batch of `n_chunks` runs on (the calling thread
+    /// included): see [`SpawnPolicy::Auto`] for the rule.
     fn threads_for(&self, n_chunks: usize) -> usize {
-        /// Below this many chunks per thread, handoff dominates the work.
-        const MIN_CHUNKS_PER_THREAD: usize = 32;
         let workers = self.config.workers;
         let threads = match self.config.spawn {
             SpawnPolicy::Inline => 1,
             SpawnPolicy::Threads => workers,
-            SpawnPolicy::Auto => {
-                if self.cores <= 1 {
-                    1
-                } else {
-                    workers
-                        .min(self.cores)
-                        .min(n_chunks / MIN_CHUNKS_PER_THREAD)
-                }
-            }
+            SpawnPolicy::Auto => workers
+                .min(self.cores)
+                .min(n_chunks / AUTO_MIN_CHUNKS_PER_THREAD),
         };
         threads.clamp(1, n_chunks.max(1))
     }
@@ -254,35 +280,29 @@ impl GdBackend {
         let mut enc_rest: &mut [EncodedChunk] = &mut self.encoded;
         let mut shard_rest: &mut [u32] = &mut self.shard_of;
         let mut offset = 0usize;
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let mut joins = Vec::with_capacity(threads);
-            for (t, worker) in self.workers.iter_mut().take(threads).enumerate() {
-                let count = base + usize::from(t < extra);
-                let (enc_part, enc_tail) = enc_rest.split_at_mut(count);
-                enc_rest = enc_tail;
-                let (shard_part, shard_tail) = shard_rest.split_at_mut(count);
-                shard_rest = shard_tail;
-                let data_part = &data[offset * chunk_bytes..(offset + count) * chunk_bytes];
-                offset += count;
-                let scratch = &mut worker.encode;
-                joins.push(scope.spawn(move || -> Result<()> {
-                    for ((chunk, slot), shard) in data_part
-                        .chunks_exact(chunk_bytes)
-                        .zip(enc_part.iter_mut())
-                        .zip(shard_part.iter_mut())
-                    {
-                        codec.encode_chunk_into(chunk, scratch, slot)?;
-                        *shard = (slot.basis_hash % num_shards) as u32;
-                    }
-                    Ok(())
-                }));
-            }
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("encode worker panicked"))
-                .collect()
-        });
-        results.into_iter().collect()
+        let mut jobs = Vec::with_capacity(threads);
+        for (t, worker) in self.workers.iter_mut().take(threads).enumerate() {
+            let count = base + usize::from(t < extra);
+            let (enc_part, enc_tail) = enc_rest.split_at_mut(count);
+            enc_rest = enc_tail;
+            let (shard_part, shard_tail) = shard_rest.split_at_mut(count);
+            shard_rest = shard_tail;
+            let data_part = &data[offset * chunk_bytes..(offset + count) * chunk_bytes];
+            offset += count;
+            let scratch = &mut worker.encode;
+            jobs.push(move || -> Result<()> {
+                for ((chunk, slot), shard) in data_part
+                    .chunks_exact(chunk_bytes)
+                    .zip(enc_part.iter_mut())
+                    .zip(shard_part.iter_mut())
+                {
+                    codec.encode_chunk_into(chunk, scratch, slot)?;
+                    *shard = (slot.basis_hash % num_shards) as u32;
+                }
+                Ok(())
+            });
+        }
+        run_partitions(jobs)
     }
 
     /// Single-threaded fast path: encode and classify fused into one pass
@@ -353,11 +373,11 @@ impl GdBackend {
             groups[handle.index() % threads].push((handle, stats, idx, out));
         }
 
-        let results: Vec<Result<()>> = std::thread::scope(|scope| {
-            let joins: Vec<_> = groups
+        run_partitions(
+            groups
                 .into_iter()
                 .map(|group| {
-                    scope.spawn(move || -> Result<()> {
+                    move || -> Result<()> {
                         for (mut handle, stats, idx, out) in group {
                             for &i in idx.iter() {
                                 let enc = &encoded[i as usize];
@@ -367,15 +387,10 @@ impl GdBackend {
                             }
                         }
                         Ok(())
-                    })
+                    }
                 })
-                .collect();
-            joins
-                .into_iter()
-                .map(|j| j.join().expect("classify worker panicked"))
-                .collect()
-        });
-        results.into_iter().collect::<Result<()>>()?;
+                .collect(),
+        )?;
 
         // Stable merge back into input order: each shard queue is already in
         // input order, so walking the shard assignments replays the batch.
@@ -564,6 +579,28 @@ impl CompressionBackend for GdBackend {
         // `available_parallelism` probe on the compression side to discard.
         GdBackendDecompressor::new(config)
     }
+}
+
+/// Runs one batch partition per job: the first on the calling thread, each
+/// other on a scoped thread of its own, so a fan-out over `n` partitions
+/// spawns `n - 1` threads. Returns the first error in partition order.
+fn run_partitions<F>(jobs: Vec<F>) -> Result<()>
+where
+    F: FnOnce() -> Result<()> + Send,
+{
+    std::thread::scope(|scope| {
+        let mut jobs = jobs.into_iter();
+        let first = jobs.next();
+        let spawned: Vec<_> = jobs.map(|job| scope.spawn(job)).collect();
+        let mut result = first.map_or(Ok(()), |job| job());
+        for handle in spawned {
+            let outcome = handle.join().expect("engine worker panicked");
+            if result.is_ok() {
+                result = outcome;
+            }
+        }
+        result
+    })
 }
 
 /// Builds the stream record for one classified chunk, with the same
@@ -1085,6 +1122,98 @@ mod tests {
                     ),
                 }
             }
+        }
+    }
+
+    /// A paper-config GD backend (8 shards) posing as a host of `cores`.
+    fn backend_on(cores: usize, workers: usize, spawn: SpawnPolicy) -> GdBackend {
+        let mut backend = GdBackend::new(EngineConfig {
+            workers,
+            spawn,
+            ..EngineConfig::paper_default()
+        })
+        .unwrap();
+        backend.cores = cores;
+        backend
+    }
+
+    #[test]
+    fn auto_runs_served_batch_sizes_inline_on_any_host() {
+        // 256 chunks is the server's batch, 281 `engine_scaling`'s.
+        for cores in [1, 2, 8, 64] {
+            let backend = backend_on(cores, 4, SpawnPolicy::Auto);
+            for chunks in [256, 281] {
+                assert_eq!(
+                    backend.threads_for(chunks),
+                    1,
+                    "{chunks} chunks on {cores} cores"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn auto_fans_out_above_the_threshold_on_multi_core_hosts() {
+        let per_thread = AUTO_MIN_CHUNKS_PER_THREAD;
+        let auto = |cores, chunks| backend_on(cores, 4, SpawnPolicy::Auto).threads_for(chunks);
+        assert_eq!(auto(1, 8 * per_thread), 1, "one core never fans out");
+        assert_eq!(auto(2, 2 * per_thread - 1), 1, "just below the threshold");
+        assert_eq!(auto(2, 2 * per_thread), 2);
+        assert_eq!(auto(64, 2 * per_thread), 2, "capped by chunks per thread");
+        assert_eq!(auto(64, 8 * per_thread), 4, "capped by workers");
+        assert_eq!(auto(3, 8 * per_thread), 3, "capped by cores");
+    }
+
+    #[test]
+    fn inline_and_threads_ignore_host_and_batch_size() {
+        for cores in [1, 2, 8, 64] {
+            for chunks in [1, 3, 256, 281, 2 * AUTO_MIN_CHUNKS_PER_THREAD] {
+                let inline = backend_on(cores, 4, SpawnPolicy::Inline);
+                assert_eq!(inline.threads_for(chunks), 1);
+                let threads = backend_on(cores, 4, SpawnPolicy::Threads);
+                assert_eq!(threads.threads_for(chunks), chunks.min(4));
+            }
+            let threads = backend_on(cores, 4, SpawnPolicy::Threads);
+            assert_eq!(threads.threads_for(0), 1, "an empty batch needs no thread");
+        }
+    }
+
+    #[test]
+    fn fanned_out_batches_match_the_inline_pass() {
+        // 97 distinct bases over 8 shards, so every partition and every
+        // classify group has work; batch sizes leave uneven partitions and
+        // the last batch carries a raw tail.
+        let chunk = |i: u32| {
+            let mut c = [0u8; 32];
+            c[..4].copy_from_slice(&(i % 97).wrapping_mul(0x9E37_79B9).to_le_bytes());
+            c[20] = (i % 5) as u8; // deviation noise
+            c
+        };
+        let mut batches: Vec<Vec<u8>> = [257u32, 600, 33]
+            .iter()
+            .scan(0u32, |next, &n| {
+                let batch = (*next..*next + n).flat_map(chunk).collect();
+                *next += n;
+                Some(batch)
+            })
+            .collect();
+        batches[2].extend_from_slice(b"tail");
+        for workers in [2, 4] {
+            let mut inline = backend_on(host_cores(), workers, SpawnPolicy::Inline);
+            let mut threaded = backend_on(host_cores(), workers, SpawnPolicy::Threads);
+            let mut dec = threaded.decompressor().unwrap();
+            for data in &batches {
+                assert!(threaded.threads_for(data.len() / 32) > 1);
+                let stream = threaded.compress_batch(data).unwrap();
+                assert_eq!(
+                    stream,
+                    inline.compress_batch(data).unwrap(),
+                    "{workers} workers"
+                );
+                assert_eq!(&dec.decompress_batch(&stream).unwrap(), data);
+            }
+            assert_eq!(threaded.stats(), inline.stats());
+            assert_eq!(threaded.shard_stats(), inline.shard_stats());
         }
     }
 

@@ -12,13 +12,18 @@
 //!                 [--batch-chunks N] [--pipeline-depth N]
 //!                 [--writer-depth N] [--checkpoint-cadence N]
 //! ```
+//!
+//! `--writer-depth` bounds each connection's response queue in bursts; it
+//! defaults to [`DEFAULT_WRITER_DEPTH`] (16).
 
 use std::io::Read;
 use std::process::ExitCode;
 
 use zipline::host::HostPathConfig;
 use zipline_engine::SyncPolicy;
-use zipline_server::{BackendChoice, Endpoint, ServerConfig, ServerConfigBuilder, ServerHandle};
+use zipline_server::{
+    BackendChoice, Endpoint, ServerConfig, ServerConfigBuilder, ServerHandle, DEFAULT_WRITER_DEPTH,
+};
 
 fn usage() -> ! {
     eprintln!(
@@ -27,6 +32,8 @@ fn usage() -> ! {
          \x20                      [--batch-chunks N] [--pipeline-depth N]\n\
          \x20                      [--writer-depth N] [--checkpoint-cadence N]\n\
          ENDPOINT is tcp://host:port, unix://path or a bare host:port.\n\
+         --writer-depth bounds each connection's response queue, in bursts\n\
+         (default {DEFAULT_WRITER_DEPTH}).\n\
          Serves until standard input closes, then shuts down gracefully."
     );
     std::process::exit(2);
@@ -40,7 +47,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut listen = "tcp://127.0.0.1:7641".to_string();
     let mut host = HostPathConfig::paper_default();
-    let mut writer_depth = 256usize;
+    let mut writer_depth = DEFAULT_WRITER_DEPTH;
     let mut backend = BackendChoice::Gd;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {

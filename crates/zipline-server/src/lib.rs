@@ -78,7 +78,7 @@ pub use load::{run_closed_loop, run_multiplexed, LoadConfig, LoadReport, TenantL
 pub use net::Endpoint;
 pub use server::{
     stream_dir, BackendChoice, ServerConfig, ServerConfigBuilder, ServerHandle, ServerReport,
-    StatsSnapshot,
+    StatsSnapshot, DEFAULT_WRITER_DEPTH,
 };
 pub use wire::{
     ClientHello, DoneSummary, Record, RecordReader, ServerHello, WireCodec, WireError,

@@ -180,6 +180,10 @@ impl std::fmt::Display for BackendChoice {
     }
 }
 
+/// Default bound of the per-connection ordered writer, in emission bursts
+/// (see [`ServerConfig::writer_depth`]).
+pub const DEFAULT_WRITER_DEPTH: usize = 16;
+
 /// Server configuration: the host-path shape every stream engine is built
 /// from, the backend choice, and the response writer's depth.
 ///
@@ -195,14 +199,17 @@ pub struct ServerConfig {
     pub host: HostPathConfig,
     /// Bound of the per-connection ordered writer, in emission bursts: the
     /// frames one handler step produced (a push, a batch-ready wake-up, a
-    /// finish), sent to the writer together.
+    /// finish), sent to the writer together. Defaults to
+    /// [`DEFAULT_WRITER_DEPTH`] (16). A deeper queue buys no goodput: when
+    /// the client reads slower than the server compresses, it only holds
+    /// more finished output in server memory before backpressure starts.
     pub writer_depth: usize,
     /// Backend every stream engine is built over.
     pub backend: BackendChoice,
 }
 
 impl ServerConfig {
-    /// Paper-default host path, pipelined at depth 2, 256-burst writer,
+    /// Paper-default host path, pipelined at depth 2, 16-burst writer,
     /// GD backend.
     pub fn paper_default() -> Self {
         // Defaults are valid by construction — no need for the fallible
@@ -235,11 +242,11 @@ impl Default for ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Paper-default host path, 256-burst writer, GD backend.
+    /// Paper-default host path, 16-burst writer, GD backend.
     pub fn new() -> Self {
         Self {
             host: HostPathConfig::paper_default(),
-            writer_depth: 256,
+            writer_depth: DEFAULT_WRITER_DEPTH,
             backend: BackendChoice::Gd,
         }
     }

@@ -187,9 +187,12 @@ fn crash_restart_case(spawn: SpawnPolicy) {
     assert!(!done.server_initiated);
     let report = server_b.shutdown();
     assert!(report.errors.is_empty(), "{:?}", report.errors);
-    assert!(
-        report.stats.replayed_entries > 0 || held == report.stats.replayed_entries,
-        "journal replay is part of the resume path"
+    // The restarted server replays exactly what its hello announced: the
+    // committed entries past the client's cursor, 0 when the client already
+    // held every one of them at the kill.
+    assert_eq!(
+        report.stats.replayed_entries, hello.replay_entries,
+        "replay must match the entries the hello announced"
     );
 
     // The acceptance property: pre-crash + replayed + resumed records,
