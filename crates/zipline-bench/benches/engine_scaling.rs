@@ -4,17 +4,16 @@
 //! same workload as `stream_compressor_9000B` in `switch_throughput.rs`).
 //!
 //! Grid: 1/2/4/8 workers × 1/4/16 dictionary shards under
-//! [`SpawnPolicy::Auto`]. Auto fans a batch out only at 131 072 chunks per
-//! thread or more, so the grid's 281-chunk batch runs the fused inline pass
-//! on any host: the worker axis must not move the medians, and the sharded
+//! [`SpawnPolicy::Auto`]. Auto never fans a batch out; only `Threads`
+//! does. So the grid's 281-chunk batch runs the fused inline pass on any
+//! host: the worker axis must not move the medians, and the sharded
 //! dictionary and cached basis hash carry the chunk throughput.
 //!
 //! Two more sets of ids, on the paper's sensor trace with 8 shards:
-//! - `served_256_w4_s8/{auto,inline}`: the server's batch shape (256
-//!   chunks, 4 workers). Both measure the same inline pass, since Auto
-//!   runs a batch this small on the calling thread.
+//! - `served_256_w4_s8/auto`: the server's batch shape (256 chunks,
+//!   4 workers), the inline pass every served batch runs.
 //! - `sweep_{4096,65536}_s8/{threads_w2,inline}`: two threads against the
-//!   inline pass, the evidence behind Auto's threshold.
+//!   inline pass, the evidence that Auto should not fan out.
 //!
 //! The batch-decode group covers the symmetric `decompress_batch` path.
 //! Baselines: `BENCH_PR4.json` (grid, 1 core) and `BENCH_PR14.json` (served
@@ -111,16 +110,12 @@ fn bench_sensor_batch(
 }
 
 /// The server's batch shape (256 chunks, paper config `w4`/`s8`) under
-/// `Auto` and `Inline` — the same inline pass on any host, because `Auto`
-/// runs a batch this small on the calling thread — and the size sweep
-/// behind `Auto`'s fan-out threshold: two threads against the inline pass.
-fn bench_spawn_threshold(c: &mut Criterion) {
+/// `Auto`, and the size sweep behind `Auto` never fanning out: two threads
+/// against the inline pass.
+fn bench_spawn_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_scaling");
-    let served = sensor_batch(256);
-    for (name, spawn) in [("auto", SpawnPolicy::Auto), ("inline", SpawnPolicy::Inline)] {
-        let id = BenchmarkId::new("served_256_w4_s8", name);
-        bench_sensor_batch(&mut group, id, &served, 4, spawn);
-    }
+    let id = BenchmarkId::new("served_256_w4_s8", "auto");
+    bench_sensor_batch(&mut group, id, &sensor_batch(256), 4, SpawnPolicy::Auto);
     for chunks in [4096usize, 65_536] {
         let data = sensor_batch(chunks);
         for (name, workers, spawn) in [
@@ -186,7 +181,7 @@ fn bench_batch_decode(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_engine_scaling,
-    bench_spawn_threshold,
+    bench_spawn_policy,
     bench_batch_decode
 );
 criterion_main!(benches);

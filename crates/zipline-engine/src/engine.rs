@@ -29,12 +29,11 @@
 //! threads spawned for that batch and joined before it returns (the build
 //! environment has no crates.io access, so no rayon); the calling thread
 //! runs one partition itself, so each phase spawns `threads - 1` threads.
-//! Each logical worker owns its scratch buffers across batches. Spawning
-//! per batch only pays on huge batches: under the default
-//! [`SpawnPolicy::Auto`] a batch fans out only when every thread gets at
-//! least 131 072 chunks, so the server's batches, and every batch a bench
-//! compresses under `Auto`, run inline on the calling thread — for a
-//! pipelined stream, its own worker — with no spawn at all.
+//! Each logical worker owns its scratch buffers across batches. Only
+//! [`SpawnPolicy::Threads`] fans a batch out; the default
+//! [`SpawnPolicy::Auto`] never does, so every batch runs inline on the
+//! calling thread — for a pipelined stream, its own worker — with no spawn
+//! at all.
 //!
 //! Construction goes through [`EngineBuilder`](crate::EngineBuilder), which
 //! validates the whole shape once at `build()`; `CompressionEngine::new` and
@@ -56,41 +55,20 @@ use zipline_gd::error::{GdError, Result};
 use zipline_gd::packet::{PacketType, ZipLinePayload};
 use zipline_gd::stats::CompressionStats;
 
-/// Chunks each thread must get before [`SpawnPolicy::Auto`] fans a batch
-/// out: above every size at which fan-out was measured (see there).
-const AUTO_MIN_CHUNKS_PER_THREAD: usize = 131_072;
-
-/// Host parallelism, probed once per process:
-/// `std::thread::available_parallelism` reads cgroup files on Linux
-/// (~14 µs), which would otherwise tax every engine build and every
-/// short-lived stream under [`SpawnPolicy::Auto`].
-pub(crate) fn host_cores() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
 /// How the engine maps logical workers onto OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SpawnPolicy {
-    /// Fan a batch out over `min(workers, host cores, chunks / 131 072)`
-    /// threads; with fewer than two, run it inline on the calling thread.
-    /// The default.
+    /// Never fan a batch out: every batch runs inline on the calling
+    /// thread, as under [`SpawnPolicy::Inline`]. A
+    /// [`PipelinedStream`](crate::PipelinedStream) still gets its own
+    /// worker thread when the host has more than one core. The default.
     ///
-    /// The threshold is measured, not guessed. On a 2-core host (8 shards,
-    /// the paper's sensor trace, steady state) two threads lost to the
-    /// fused inline pass at every batch size tried, from 256 chunks
-    /// (135 µs against 47 µs) through 65 536 (23.1 ms against 18.7 ms) to
-    /// 262 144 (about 100 ms against 65 ms): the spawns, the encode buffer
-    /// between the two phases and the reorder cost more than the second
-    /// core returns. So a batch fans out only at or above 131 072 chunks
-    /// per thread, the largest per-thread size measured; the server's
-    /// 256-chunk batches, and every batch the tracked benches compress
-    /// under `Auto`, run inline on any host. `engine_scaling`'s `sweep_*`
-    /// ids re-measure the comparison.
+    /// On a 2-core host (8 shards, the paper's sensor trace, steady state)
+    /// two threads lost to the fused inline pass at every batch size
+    /// tried, from 256 chunks (135 µs against 47 µs) to 65 536 (23.1 ms
+    /// against 18.7 ms): the spawns, the encode buffer between the two
+    /// phases and the reorder cost more than the second core returns.
+    /// `engine_scaling`'s `sweep_*` ids re-measure the comparison.
     #[default]
     Auto,
     /// Never spawn; all partitions run inline. Worker count still controls
@@ -112,10 +90,9 @@ pub struct EngineConfig {
     pub gd: GdConfig,
     /// Dictionary shard count: a power of two dividing `2^id_bits`.
     pub shards: usize,
-    /// Logical worker count: the partition count of a batch that fans out,
-    /// and the most threads it uses. Under [`SpawnPolicy::Auto`] a batch
-    /// fans out only at 131 072 chunks per thread or more, so for ordinary
-    /// batch sizes this sets no thread count at all.
+    /// Logical worker count: under [`SpawnPolicy::Threads`], the partition
+    /// count of a batch and the threads it runs on. [`SpawnPolicy::Auto`]
+    /// never fans a batch out, so there it sets no thread count.
     pub workers: usize,
     /// Thread spawn policy.
     pub spawn: SpawnPolicy,
@@ -192,9 +169,6 @@ pub struct GdBackend {
     inline_slot: EncodedChunk,
     /// Recycled wire serialization buffer for `emit_batch`.
     wire_scratch: Vec<u8>,
-    /// Host parallelism ([`host_cores`]); a field so tests can pose as
-    /// hosts of any size.
-    cores: usize,
 }
 
 impl GdBackend {
@@ -213,7 +187,6 @@ impl GdBackend {
             per_shard_records: vec![Vec::new(); config.shards],
             inline_slot: EncodedChunk::default(),
             wire_scratch: Vec::new(),
-            cores: host_cores(),
             config,
         })
     }
@@ -243,17 +216,13 @@ impl GdBackend {
     }
 
     /// Number of threads a batch of `n_chunks` runs on (the calling thread
-    /// included): see [`SpawnPolicy::Auto`] for the rule.
+    /// included): one thread per worker under [`SpawnPolicy::Threads`],
+    /// else one.
     fn threads_for(&self, n_chunks: usize) -> usize {
-        let workers = self.config.workers;
-        let threads = match self.config.spawn {
-            SpawnPolicy::Inline => 1,
-            SpawnPolicy::Threads => workers,
-            SpawnPolicy::Auto => workers
-                .min(self.cores)
-                .min(n_chunks / AUTO_MIN_CHUNKS_PER_THREAD),
-        };
-        threads.clamp(1, n_chunks.max(1))
+        match self.config.spawn {
+            SpawnPolicy::Auto | SpawnPolicy::Inline => 1,
+            SpawnPolicy::Threads => self.config.workers.clamp(1, n_chunks.max(1)),
+        }
     }
 
     /// Phase 1: encode every whole chunk into `self.encoded` and its shard
@@ -575,8 +544,8 @@ impl CompressionBackend for GdBackend {
     }
 
     fn decompressor_for(config: &EngineConfig) -> Result<Self::Decompressor> {
-        // Straight to the decoder — no sharded dictionary, worker scratch or
-        // `available_parallelism` probe on the compression side to discard.
+        // Straight to the decoder — no sharded dictionary or worker scratch
+        // on the compression side to discard.
         GdBackendDecompressor::new(config)
     }
 }
@@ -1125,95 +1094,22 @@ mod tests {
         }
     }
 
-    /// A paper-config GD backend (8 shards) posing as a host of `cores`.
-    fn backend_on(cores: usize, workers: usize, spawn: SpawnPolicy) -> GdBackend {
-        let mut backend = GdBackend::new(EngineConfig {
-            workers,
-            spawn,
-            ..EngineConfig::paper_default()
-        })
-        .unwrap();
-        backend.cores = cores;
-        backend
-    }
-
     #[test]
-    fn auto_runs_served_batch_sizes_inline_on_any_host() {
+    fn only_threads_fans_a_batch_out() {
         // 256 chunks is the server's batch, 281 `engine_scaling`'s.
-        for cores in [1, 2, 8, 64] {
-            let backend = backend_on(cores, 4, SpawnPolicy::Auto);
-            for chunks in [256, 281] {
-                assert_eq!(
-                    backend.threads_for(chunks),
-                    1,
-                    "{chunks} chunks on {cores} cores"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn auto_fans_out_above_the_threshold_on_multi_core_hosts() {
-        let per_thread = AUTO_MIN_CHUNKS_PER_THREAD;
-        let auto = |cores, chunks| backend_on(cores, 4, SpawnPolicy::Auto).threads_for(chunks);
-        assert_eq!(auto(1, 8 * per_thread), 1, "one core never fans out");
-        assert_eq!(auto(2, 2 * per_thread - 1), 1, "just below the threshold");
-        assert_eq!(auto(2, 2 * per_thread), 2);
-        assert_eq!(auto(64, 2 * per_thread), 2, "capped by chunks per thread");
-        assert_eq!(auto(64, 8 * per_thread), 4, "capped by workers");
-        assert_eq!(auto(3, 8 * per_thread), 3, "capped by cores");
-    }
-
-    #[test]
-    fn inline_and_threads_ignore_host_and_batch_size() {
-        for cores in [1, 2, 8, 64] {
-            for chunks in [1, 3, 256, 281, 2 * AUTO_MIN_CHUNKS_PER_THREAD] {
-                let inline = backend_on(cores, 4, SpawnPolicy::Inline);
-                assert_eq!(inline.threads_for(chunks), 1);
-                let threads = backend_on(cores, 4, SpawnPolicy::Threads);
-                assert_eq!(threads.threads_for(chunks), chunks.min(4));
-            }
-            let threads = backend_on(cores, 4, SpawnPolicy::Threads);
-            assert_eq!(threads.threads_for(0), 1, "an empty batch needs no thread");
-        }
-    }
-
-    #[test]
-    fn fanned_out_batches_match_the_inline_pass() {
-        // 97 distinct bases over 8 shards, so every partition and every
-        // classify group has work; batch sizes leave uneven partitions and
-        // the last batch carries a raw tail.
-        let chunk = |i: u32| {
-            let mut c = [0u8; 32];
-            c[..4].copy_from_slice(&(i % 97).wrapping_mul(0x9E37_79B9).to_le_bytes());
-            c[20] = (i % 5) as u8; // deviation noise
-            c
-        };
-        let mut batches: Vec<Vec<u8>> = [257u32, 600, 33]
-            .iter()
-            .scan(0u32, |next, &n| {
-                let batch = (*next..*next + n).flat_map(chunk).collect();
-                *next += n;
-                Some(batch)
+        let backend = |spawn| {
+            GdBackend::new(EngineConfig {
+                spawn,
+                ..EngineConfig::paper_default()
             })
-            .collect();
-        batches[2].extend_from_slice(b"tail");
-        for workers in [2, 4] {
-            let mut inline = backend_on(host_cores(), workers, SpawnPolicy::Inline);
-            let mut threaded = backend_on(host_cores(), workers, SpawnPolicy::Threads);
-            let mut dec = threaded.decompressor().unwrap();
-            for data in &batches {
-                assert!(threaded.threads_for(data.len() / 32) > 1);
-                let stream = threaded.compress_batch(data).unwrap();
-                assert_eq!(
-                    stream,
-                    inline.compress_batch(data).unwrap(),
-                    "{workers} workers"
-                );
-                assert_eq!(&dec.decompress_batch(&stream).unwrap(), data);
-            }
-            assert_eq!(threaded.stats(), inline.stats());
-            assert_eq!(threaded.shard_stats(), inline.shard_stats());
+            .unwrap()
+        };
+        let (auto, inline) = (backend(SpawnPolicy::Auto), backend(SpawnPolicy::Inline));
+        let threads = backend(SpawnPolicy::Threads);
+        for chunks in [0, 1, 3, 256, 281, 1 << 20] {
+            assert_eq!(auto.threads_for(chunks), 1, "Auto, {chunks} chunks");
+            assert_eq!(inline.threads_for(chunks), 1, "Inline, {chunks} chunks");
+            assert_eq!(threads.threads_for(chunks), chunks.clamp(1, 4));
         }
     }
 

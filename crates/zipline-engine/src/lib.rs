@@ -14,11 +14,10 @@
 //!   [`zipline_gd::BasisDictionary`] shards selected by the word-parallel
 //!   basis hash ([`zipline_gd::BitVec::hash_words`]), with per-shard
 //!   statistics, a merged [`DictionarySnapshot`] for *cold* decoder sync and
-//!   a per-shard update journal for *live* sync; under the default
-//!   [`SpawnPolicy::Auto`] a batch of at least 131 072 chunks per thread
-//!   fans out over scoped `std::thread` workers spawned for it and
-//!   reassembles in input order, and a smaller one runs inline on the
-//!   calling thread;
+//!   a per-shard update journal for *live* sync; a batch runs inline on
+//!   the calling thread under the default [`SpawnPolicy::Auto`], and fans
+//!   out over scoped `std::thread` workers spawned for it, reassembled in
+//!   input order, only under [`SpawnPolicy::Threads`];
 //! * [`DeflateBackend`] — the paper's gzip baseline (via `zipline-deflate`)
 //!   driven through the *same* engine, stream and host path, one gzip
 //!   member per batch; [`PassthroughBackend`] — the identity codec, the

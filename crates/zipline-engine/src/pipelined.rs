@@ -101,8 +101,7 @@
 //! [`SpawnPolicy::Auto`] spawns only when the host has more than one core,
 //! so on a 1-core container the stream runs inline — no channel, no
 //! thread, same bytes. On a multi-core host the worker compresses each
-//! batch itself: the engine's per-batch fan-out only starts at batch sizes
-//! far above any stream's (see [`SpawnPolicy::Auto`]).
+//! batch itself: `Auto` never fans a batch out further.
 //!
 //! ```
 //! use zipline_engine::{EngineBuilder, PipelinedStream};
@@ -148,7 +147,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::backend::CompressionBackend;
-use crate::engine::{host_cores, CompressionEngine, GdBackend, SpawnPolicy};
+use crate::engine::{CompressionEngine, GdBackend, SpawnPolicy};
 use crate::error::{EngineError, Result};
 use crate::persist::EngineStore;
 use crate::registry::{CodecCursor, CodecId};
@@ -160,6 +159,19 @@ use zipline_traces::ChunkWorkload;
 /// Maximum accepted pipeline depth; a larger value is almost certainly a
 /// units mistake (depth is *batches in flight*, not bytes).
 pub const MAX_PIPELINE_DEPTH: usize = 1024;
+
+/// Host parallelism, probed once per process:
+/// `std::thread::available_parallelism` reads cgroup files on Linux
+/// (~14 µs), which would otherwise tax every short-lived stream under
+/// [`SpawnPolicy::Auto`].
+fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
 
 /// Shape of the ingest pipeline, set by
 /// [`EngineBuilder::pipelined`](crate::EngineBuilder::pipelined) and carried

@@ -167,15 +167,21 @@ proptest! {
         shard_exp in 0u32..4,
     ) {
         let shards = 1usize << shard_exp;
-        let reference = compress_with(
-            engine_config(small_gd(), shards, 1, SpawnPolicy::Inline),
-            &data,
-        );
-        for workers in [2usize, 3, 5, 8] {
+        // Two batches, the second against the dictionary the first built.
+        let (first, second) = data.split_at(data.len() / 2);
+        let run = |workers, spawn| {
+            let mut engine =
+                CompressionEngine::new(engine_config(small_gd(), shards, workers, spawn))
+                    .expect("valid engine config");
+            let streams = [first, second]
+                .map(|batch| engine.compress_batch(batch).expect("compression succeeds"));
+            (streams, engine.stats(), engine.shard_stats())
+        };
+        let reference = run(1, SpawnPolicy::Inline);
+        for workers in [2usize, 3, 4, 5, 8] {
             for spawn in [SpawnPolicy::Threads, SpawnPolicy::Auto] {
-                let stream = compress_with(engine_config(small_gd(), shards, workers, spawn), &data);
                 prop_assert_eq!(
-                    &stream, &reference,
+                    &run(workers, spawn), &reference,
                     "shards = {}, workers = {}, spawn = {:?}", shards, workers, spawn
                 );
             }

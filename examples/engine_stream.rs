@@ -33,8 +33,8 @@ fn main() {
     // ------------------------------------------------------------------
     // 1. The engine: paper GD parameters, 8 dictionary shards, 4 workers.
     //    Output bytes depend only on the shard count — worker count and
-    //    spawn policy are pure wall-clock knobs (SpawnPolicy::Auto spawns
-    //    threads only on multi-core hosts).
+    //    spawn policy are pure wall-clock knobs (SpawnPolicy::Auto runs
+    //    each batch inline; only SpawnPolicy::Threads fans it out).
     // ------------------------------------------------------------------
     let builder = EngineBuilder::new()
         .shards(8)
